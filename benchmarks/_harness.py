@@ -9,7 +9,9 @@ so the perf trajectory is tracked across PRs.
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -47,10 +49,10 @@ def assert_identical(pairs, label: str = "") -> None:
 
 
 def engine_matrix(**configurations) -> dict:
-    """The engine-flag matrix a bench compared, embedded in its JSON so
-    every figure is traceable to the exact engine configurations that
-    produced it (e.g. ``engine_matrix(candidate={'use_jit': True},
-    reference={'use_jit': False})``)."""
+    """The engine matrix a bench compared, embedded in its JSON so every
+    figure is traceable to the exact engine configurations that
+    produced it (e.g. ``engine_matrix(candidate={'engine': 'fast'},
+    reference={'engine': 'reference'})``)."""
     return {name: dict(flags) for name, flags in configurations.items()}
 
 
@@ -66,6 +68,43 @@ def best_of(repeats: int, fn):
         if best is None or elapsed < best:
             best, value = elapsed, result
     return best, value
+
+
+def interleaved_min(min_time_s: float, candidate, reference, min_pairs=5):
+    """Time two closures as alternating pairs, swapping which runs
+    first in each pair, until each side has spent at least
+    *min_time_s* of wall time (and at least *min_pairs* pairs ran).
+
+    Drift (frequency scaling, caches, background load) then lands on
+    both sides instead of biasing whichever ran last.  As in
+    :mod:`timeit`, the garbage collector is off inside each timed call,
+    and every call starts from a freshly collected heap, so neither
+    side pays for the other's cyclic garbage.  Returns a dict
+    with each side's ``min_s``/``median_s``, the ``pairs`` count and
+    the last ``values`` each closure returned, as ``(candidate,
+    reference)`` pairs."""
+    fns = (candidate, reference)
+    samples: tuple[list[float], list[float]] = ([], [])
+    values = [None, None]
+    pairs = 0
+    while pairs < min_pairs or min(sum(s) for s in samples) < min_time_s:
+        order = (0, 1) if pairs % 2 == 0 else (1, 0)
+        for index in order:
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                values[index] = fns[index]()
+                samples[index].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+        pairs += 1
+    return {
+        "min_s": tuple(min(s) for s in samples),
+        "median_s": tuple(statistics.median(s) for s in samples),
+        "pairs": pairs,
+        "values": tuple(values),
+    }
 
 
 def best_rate(repeats: int, fn):

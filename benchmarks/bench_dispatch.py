@@ -1,10 +1,9 @@
 """Dispatch benchmarks: executor-table dispatch + event-horizon ticking.
 
-Records the numbers ISSUE 3 ties the execution core to, against an
-in-benchmark emulation of the pre-PR engine (the ``if/elif`` opcode
-chain on every retire via ``use_exec_table=False``, and the per-step
-session loop that walks every peripheral after every instruction via
-``use_block_run=False``):
+Records the numbers ISSUE 3 ties the execution core to, against the
+``engine="reference"`` session (bus fetch and the ``if/elif`` opcode
+chain on every retire, and a per-step session loop that walks every
+peripheral after every instruction):
 
 - interpreter instructions/sec on an ALU/branch/memory loop,
   **untraced** — the configuration the verdict matrix spends its time
@@ -68,8 +67,8 @@ skip:
 
 RESULTS = BenchResults("dispatch")
 RESULTS["engine_matrix"] = engine_matrix(
-    candidate={"use_block_run": True},
-    reference={"use_block_run": False},
+    candidate={"engine": "fast"},
+    reference={"engine": "reference"},
 )
 
 
@@ -81,14 +80,12 @@ def link_source(source: str):
 
 
 def make_session(platform_cls, *, legacy: bool) -> ExecutionSession:
-    """A session in the new configuration, or the pre-PR emulation:
+    """A fast-engine session, or (*legacy*) a reference-engine one:
     ``if/elif`` chain on every retire, one peripheral walk per
     instruction."""
-    session = ExecutionSession(
-        platform_cls(), SC88A, use_block_run=not legacy
+    return ExecutionSession(
+        platform_cls(), SC88A, engine="reference" if legacy else "fast"
     )
-    session.cpu.use_exec_table = not legacy
-    return session
 
 
 def timed_run(image, *, legacy: bool):

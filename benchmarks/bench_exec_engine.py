@@ -2,10 +2,10 @@
 
 Records the two numbers ISSUE 1 ties the engine to:
 
-- instructions/sec of the interpreter with the predecode cache on vs.
-  off (the ISA-layer win);
+- instructions/sec of the fast engine (predecode cache on) vs. the
+  reference engine (per-retire bus fetch and decode);
 - wall-time of the full six-platform system regression, serial seed
-  baseline (cold builds, fresh platform per run, per-retire decode) vs.
+  baseline (cold builds, fresh platform per run, reference engine) vs.
   the engine (build cache + execution sessions + predecode + scheduler),
   asserting the >= 3x target;
 - a warm-cache re-regression of an unchanged workspace, asserting it
@@ -31,8 +31,8 @@ MEMORY_MAP = SC88A.memory_map()
 
 RESULTS = BenchResults("exec_engine")
 RESULTS["engine_matrix"] = engine_matrix(
-    candidate={"use_decode_cache": True},
-    reference={"use_decode_cache": False},
+    candidate={"engine": "fast"},
+    reference={"engine": "reference"},
 )
 
 LOOP_ITERATIONS = 30_000
@@ -58,7 +58,7 @@ def link_source(source: str):
 
 def run_serial_baseline(environments, derivative) -> RegressionReport:
     """The seed's behaviour: cold build and fresh platform per matrix
-    entry, per-retire decode in the interpreter."""
+    entry, the reference engine's per-retire decode."""
     report = RegressionReport(derivative=derivative.name)
     for env in environments.values():
         for cell_name in env.cells:
@@ -68,8 +68,9 @@ def run_serial_baseline(environments, derivative) -> RegressionReport:
                     cell_name, derivative, tgt, use_cache=False
                 )
                 platform = tgt.make_platform()
-                platform.use_decode_cache = False
-                result = platform.run(artifacts.image, derivative)
+                result = platform.run(
+                    artifacts.image, derivative, engine="reference"
+                )
                 per_target[tgt.name] = result
                 report.results[(env.name, cell_name, tgt.name)] = result
             detect_divergences(env.name, cell_name, per_target, report)
@@ -85,7 +86,9 @@ def test_predecode_instruction_throughput():
 
     def run(use_cache: bool):
         session = ExecutionSession(
-            GoldenModel(), SC88A, use_decode_cache=use_cache
+            GoldenModel(),
+            SC88A,
+            engine="fast" if use_cache else "reference",
         )
         return session.run(image)
 

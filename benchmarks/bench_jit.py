@@ -9,16 +9,16 @@ ALU work.  This bench records the acceptance numbers ISSUE 8 ties the
 compiler to:
 
 - wall-clock on the **compute-burn workloads** (xorshift32 + checksum
-  kernels from ``core/workloads.py``) with ``use_jit=True`` vs the
-  ISSUE 5 superblock engine (``use_jit=False``), asserting the >= 2x
-  floor (>= 1.5x in ``--quick`` mode);
+  kernels from ``core/workloads.py``) on ``engine="fast"`` (compiled
+  chains) vs ``engine="reference"``, asserting the >= 2x floor
+  (>= 1.5x in ``--quick`` mode);
 - **byte-identity before any speed claim**: retire traces, bus traces
   and cycle counts compared across **all six platforms** via the shared
   ``_harness.assert_identical`` gate;
 - JIT telemetry (``jit_chains`` > 0, ``jit_exec_steps`` > 0) so a
   silently-declining compiler fails the bench even if wall-clock
   happens to survive;
-- the engine-flag matrix compared, embedded in the JSON.
+- the engine matrix compared, embedded in the JSON.
 
 Emits ``BENCH_jit.json`` next to the repository root.  Also runnable as
 a script: ``python benchmarks/bench_jit.py [--quick]`` — the CI
@@ -60,8 +60,8 @@ QUICK = {
 }
 
 MATRIX = engine_matrix(
-    candidate={"use_jit": True},
-    reference={"use_jit": False, "note": "ISSUE 5 superblock engine"},
+    candidate={"engine": "fast"},
+    reference={"engine": "reference"},
 )
 
 
@@ -75,7 +75,7 @@ def compute_images(config):
 
 def check_identity_across_platforms(images) -> tuple[int, int]:
     """The acceptance gate: byte-identical retire/bus traces and cycle
-    counts vs ``use_jit=False`` on all six platforms, before any
+    counts vs ``engine="reference"`` on all six platforms, before any
     stopwatch starts.  Returns ``(platforms_compared, chains_compiled)``
     — compiles land here because later sessions share the digest-keyed
     cache and reuse the installed chains."""
@@ -90,7 +90,7 @@ def check_identity_across_platforms(images) -> tuple[int, int]:
             jit_session = ExecutionSession(jit_platform, SC88A)
             candidate = jit_session.run(image)
             reference = ExecutionSession(
-                ref_platform, SC88A, use_jit=False
+                ref_platform, SC88A, engine="reference"
             ).run(image)
             pairs.append((candidate, reference))
             assert_identical(pairs[-1:], f"jit/{label}/{name}")
@@ -107,7 +107,7 @@ def check_identity_across_platforms(images) -> tuple[int, int]:
 
 def run_compute_speedup(config) -> dict:
     """The acceptance number: compute-burn wall-clock with the template
-    JIT vs the ISSUE 5 superblock engine, identity-gated first."""
+    JIT vs the reference engine, identity-gated first."""
     images = compute_images(config)
     platforms_compared, jit_chains_total = (
         check_identity_across_platforms(images)
@@ -121,7 +121,7 @@ def run_compute_speedup(config) -> dict:
             PLATFORM_CLASSES["golden"](), SC88A
         )
         ref_session = ExecutionSession(
-            PLATFORM_CLASSES["golden"](), SC88A, use_jit=False
+            PLATFORM_CLASSES["golden"](), SC88A, engine="reference"
         )
         # Warm both engines: decode cache formation and the chain
         # compile happen once, off the stopwatch (steady-state is what
@@ -143,7 +143,7 @@ def run_compute_speedup(config) -> dict:
         total_reference += ref_elapsed
         per_image[label] = {
             "jit_ms": round(jit_elapsed * 1e3, 3),
-            "superblock_ms": round(ref_elapsed * 1e3, 3),
+            "reference_ms": round(ref_elapsed * 1e3, 3),
             "speedup": round(ref_elapsed / jit_elapsed, 2),
             "jit_exec_steps": timed_stats["jit_exec_steps"],
         }
@@ -167,7 +167,7 @@ def test_compute_speedup_and_emit_json():
     numbers = run_compute_speedup(FULL)
     RESULTS["compute"] = numbers
     shape(
-        f"jit: compute-burn {numbers['speedup']:.2f}x vs the superblock "
+        f"jit: compute-burn {numbers['speedup']:.2f}x vs the reference "
         f"engine ({numbers['jit_chains']} chains, byte-identical on "
         f"{numbers['platforms_compared']} platforms)"
     )
@@ -195,7 +195,7 @@ def main(argv: list[str]) -> int:
     path = RESULTS.emit()
     print(
         f"jit[{config['mode']}]: compute-burn {numbers['speedup']}x vs "
-        f"superblock engine (floor {config['min_speedup']}x), "
+        f"reference engine (floor {config['min_speedup']}x), "
         f"{numbers['jit_chains']} chains, byte-identical on "
         f"{numbers['platforms_compared']} platforms -> {path.name}"
     )

@@ -77,8 +77,8 @@ loop:
 
 RESULTS = BenchResults("memsys")
 RESULTS["engine_matrix"] = engine_matrix(
-    candidate={"use_decode_cache": True},
-    reference={"use_decode_cache": False},
+    candidate={"engine": "fast"},
+    reference={"engine": "reference", "bus": "LegacyBus emulation"},
 )
 
 
@@ -277,20 +277,22 @@ def test_divergence_verdicts_identical():
     )
     fault = NetlistFault(opcode=int(Opcode.INSERT), xor_mask=0x4)
     verdicts = []
-    for use_cache in (True, False):
-        reference = GoldenModel()
-        subject = GateLevelSim(fault=fault)
-        reference.use_decode_cache = use_cache
-        subject.use_decode_cache = use_cache
-        comparison = compare_traces(image, SC88A, reference, subject)
+    for engine in ("fast", "reference"):
+        comparison = compare_traces(
+            image,
+            SC88A,
+            GoldenModel(),
+            GateLevelSim(fault=fault),
+            engine=engine,
+        )
         verdicts.append(
             (comparison.identical, comparison.divergence.index)
         )
     assert verdicts[0] == verdicts[1]
     RESULTS["divergence_verdicts_identical"] = True
     shape(
-        "memsys: first-divergence verdict identical with decode cache "
-        f"on and off (fork at instruction #{verdicts[0][1]})"
+        "memsys: first-divergence verdict identical on the fast and "
+        f"reference engines (fork at instruction #{verdicts[0][1]})"
     )
 
 
@@ -305,9 +307,7 @@ def test_session_coverage_wall_time_and_emit_json():
         collector = CoverageCollector(SC88A)
         for image in images:
             platform = GoldenModel()
-            session = ExecutionSession(
-                platform, SC88A, use_decode_cache=False
-            )
+            session = ExecutionSession(platform, SC88A, engine="reference")
             make_legacy(session.soc)
             events: list[BusAccess] = []
             session.soc.bus.trace_hooks.append(events.append)

@@ -9,7 +9,9 @@ acceptance numbers ISSUE 7 ties the layer to:
   supervised serial scheduler vs the same work-list driven through raw
   unsupervised ``ExecutionSession`` loops — verdicts byte-identical,
   and the supervised path at most 5% slower (``speedup >= 0.95``, the
-  committed ``bench_trend`` floor);
+  committed ``bench_trend`` floor).  Raw and supervised matrices run
+  as interleaved pairs, alternating which goes first, until each side
+  has spent a minimum wall time; the gate compares the two minimums;
 - **chaos completion**: a seeded :class:`~repro.core.faults.FaultPlan`
   that SIGKILLs one process-pool worker mid-matrix plus two injected
   cache corruptions on the warm pass — both regressions complete, the
@@ -42,7 +44,12 @@ from repro.platforms import ExecutionSession
 from repro.soc.derivatives import SC88A
 
 from conftest import shape
-from _harness import engine_matrix, BenchResults, best_of, strip_result as strip
+from _harness import (
+    BenchResults,
+    engine_matrix,
+    interleaved_min,
+    strip_result as strip,
+)
 
 RESULTS = BenchResults("resilience")
 RESULTS["engine_matrix"] = engine_matrix(
@@ -54,14 +61,14 @@ RESULTS["engine_matrix"] = engine_matrix(
 FULL = {
     "nvm_tests": 2,
     "uart_tests": 1,
-    "repeats": 3,
+    "min_time_s": 5.0,  # wall time per side, interleaved
     "min_speedup": 0.95,  # supervised may cost at most 5%
     "mode": "full",
 }
 QUICK = {
     "nvm_tests": 1,
     "uart_tests": 0,
-    "repeats": 2,
+    "min_time_s": 2.0,
     "min_speedup": 0.95,
     "mode": "quick",
 }
@@ -104,10 +111,12 @@ def run_zero_fault(config) -> dict:
     raw_matrix()
     supervised_matrix()
 
-    raw_elapsed, raw_results = best_of(config["repeats"], raw_matrix)
-    supervised_elapsed, report = best_of(
-        config["repeats"], supervised_matrix
+    timing = interleaved_min(
+        config["min_time_s"], supervised_matrix, raw_matrix
     )
+    supervised_elapsed, raw_elapsed = timing["min_s"]
+    supervised_median, raw_median = timing["median_s"]
+    report, raw_results = timing["values"]
     # Byte-identity before any speed claim: supervision must not change
     # a single verdict, trace entry or cycle count.
     assert set(report.results) == set(raw_results)
@@ -121,6 +130,8 @@ def run_zero_fault(config) -> dict:
         "runs": report.total_runs,
         "raw_ms": round(raw_elapsed * 1e3, 3),
         "supervised_ms": round(supervised_elapsed * 1e3, 3),
+        "pairs": timing["pairs"],
+        "median_ratio": round(raw_median / supervised_median, 3),
         "speedup": round(raw_elapsed / supervised_elapsed, 3),
         "min_required": config["min_speedup"],
         "mode": config["mode"],

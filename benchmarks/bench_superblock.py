@@ -1,8 +1,8 @@
 """Superblock benchmarks: straight-line fusion + idle fast-forward.
 
 Records the numbers ISSUE 4 ties the execution core to, against the
-ISSUE 3 engine (per-instruction executor-table dispatch under
-event-horizon scheduling, selected via ``use_superblocks=False``):
+``engine="reference"`` session (per-step bus fetch, the ``if/elif``
+chain and one peripheral walk per instruction):
 
 - instructions/sec on the **delay-heavy** workloads — one-shot timer
   delays (``Base_Timer_Delay``: calibrated pure spin between status
@@ -10,21 +10,18 @@ event-horizon scheduling, selected via ``use_superblocks=False``):
   fast-forward warps the spin iterations the program only counts,
   asserting the >= 2x target (>= 1.5x in ``--quick`` mode);
 - byte-identical architectural outcomes — signature, cycles, retire
-  totals, IRQ-delivery timing — against **both** reference baselines:
-  ``use_exec_table=False`` (the pre-dispatch ``if/elif`` chain) and
-  ``use_block_run=False`` (the per-step/per-tick loop), plus a traced
-  golden run proving the retire trace itself is unchanged (since
+  totals, IRQ-delivery timing — against the reference engine, plus a
+  traced golden run proving the retire trace itself is unchanged (since
   ISSUE 5 the fast path stays on under observation and synthesizes
   the warped trace records; ``bench_trace_fastpath.py`` measures that
   win);
 - the chaining win on a branchy ALU loop with no idle spins (fusion +
   block-to-block chaining only);
 - the mechanism observables: warps performed, and that the reference
-  configurations perform none.
+  engine performs none.
 
 Runs on the bondout platform — full register/memory visibility without
-the always-on instruction trace, i.e. the configuration where the
-hoisted engine actually operates.
+the always-on instruction trace, i.e. the unobserved fast path.
 
 Emits ``BENCH_superblock.json`` next to the repository root.  Also
 runnable as a script: ``python benchmarks/bench_superblock.py
@@ -53,9 +50,8 @@ MEMORY_MAP = SC88A.memory_map()
 
 RESULTS = BenchResults("superblock")
 RESULTS["engine_matrix"] = engine_matrix(
-    candidate={"use_superblocks": True, "use_fast_forward": True},
-    reference={"use_superblocks": False},
-    baseline={"use_block_run": False, "note": "per-step/per-tick loop"},
+    candidate={"engine": "fast"},
+    reference={"engine": "reference"},
 )
 
 #: Full (pytest/CI bench) and quick (perf-smoke gate) configurations.
@@ -99,27 +95,8 @@ skip:
 """
 
 
-def make_session(platform_cls=Bondout, *, engine: str) -> ExecutionSession:
-    """``new`` = superblocks + fast-forward; ``pr3`` = the ISSUE 3
-    per-instruction hoisted loop; ``exec_off`` = the pre-dispatch
-    ``if/elif`` chain; ``step`` = the per-step/per-tick session loop."""
-    if engine == "new":
-        return ExecutionSession(platform_cls(), SC88A)
-    if engine == "pr3":
-        return ExecutionSession(platform_cls(), SC88A, use_superblocks=False)
-    if engine == "exec_off":
-        session = ExecutionSession(
-            platform_cls(), SC88A, use_superblocks=False
-        )
-        session.cpu.use_exec_table = False
-        return session
-    if engine == "step":
-        return ExecutionSession(platform_cls(), SC88A, use_block_run=False)
-    raise ValueError(engine)
-
-
 def timed_run(image, *, engine: str):
-    session = make_session(engine=engine)
+    session = ExecutionSession(Bondout(), SC88A, engine=engine)
     start = time.perf_counter()
     result = session.run(image)
     elapsed = time.perf_counter() - start
@@ -138,41 +115,37 @@ def delay_images(config):
 
 
 def run_delay_speedup(config) -> dict:
-    """The acceptance number: new engine vs the ISSUE 3 engine on the
-    delay-heavy workloads, byte-identical against both references."""
+    """The acceptance number: fast engine vs the reference engine on the
+    delay-heavy workloads, byte-identical before any speed claim."""
     repeats = config["repeats"]
     per_cell = {}
-    total_new = 0.0
-    total_pr3 = 0.0
+    total_fast = 0.0
+    total_reference = 0.0
     warps_total = 0
     for cell, image in delay_images(config):
-        new_ips, (new_result, new_warps) = best_rate(
-            repeats, lambda: timed_run(image, engine="new")
+        fast_ips, (fast_result, fast_warps) = best_rate(
+            repeats, lambda: timed_run(image, engine="fast")
         )
-        pr3_ips, (pr3_result, pr3_warps) = best_rate(
-            repeats, lambda: timed_run(image, engine="pr3")
+        reference_ips, (reference_result, reference_warps) = best_rate(
+            repeats, lambda: timed_run(image, engine="reference")
         )
-        _, exec_off_result, _ = timed_run(image, engine="exec_off")
-        _, step_result, step_warps = timed_run(image, engine="step")
-        # Byte-identical architecture against both baselines before any
-        # speed claim (signature, cycles, retires, pins, UART).
-        assert strip(new_result) == strip(pr3_result), cell
-        assert strip(new_result) == strip(exec_off_result), cell
-        assert strip(new_result) == strip(step_result), cell
-        assert new_warps > 0, f"{cell}: fast-forward never fired"
-        assert pr3_warps == 0 and step_warps == 0
-        instructions = new_result.instructions
-        total_new += instructions / new_ips
-        total_pr3 += instructions / pr3_ips
-        warps_total += new_warps
+        # Byte-identical architecture before any speed claim
+        # (signature, cycles, retires, pins, UART).
+        assert strip(fast_result) == strip(reference_result), cell
+        assert fast_warps > 0, f"{cell}: fast-forward never fired"
+        assert reference_warps == 0
+        instructions = fast_result.instructions
+        total_fast += instructions / fast_ips
+        total_reference += instructions / reference_ips
+        warps_total += fast_warps
         per_cell[cell] = {
             "instructions": instructions,
-            "pr3_ips": round(pr3_ips),
-            "new_ips": round(new_ips),
-            "speedup": round(new_ips / pr3_ips, 2),
-            "warps": new_warps,
+            "reference_ips": round(reference_ips),
+            "fast_ips": round(fast_ips),
+            "speedup": round(fast_ips / reference_ips, 2),
+            "warps": fast_warps,
         }
-    speedup = total_pr3 / total_new
+    speedup = total_reference / total_fast
     return {
         "per_cell": per_cell,
         "speedup": round(speedup, 2),
@@ -192,18 +165,18 @@ def run_chain_speedup(config) -> dict:
         text_base=MEMORY_MAP.text_base, data_base=MEMORY_MAP.data_base
     ).link([obj])
     repeats = config["repeats"]
-    new_ips, (new_result, new_warps) = best_rate(
-        repeats, lambda: timed_run(image, engine="new")
+    fast_ips, (fast_result, fast_warps) = best_rate(
+        repeats, lambda: timed_run(image, engine="fast")
     )
-    pr3_ips, (pr3_result, _) = best_rate(
-        repeats, lambda: timed_run(image, engine="pr3")
+    reference_ips, (reference_result, _) = best_rate(
+        repeats, lambda: timed_run(image, engine="reference")
     )
-    assert strip(new_result) == strip(pr3_result)
-    assert new_warps == 0  # no idle spins here: pure chaining
+    assert strip(fast_result) == strip(reference_result)
+    assert fast_warps == 0  # no idle spins here: pure chaining
     return {
-        "pr3_ips": round(pr3_ips),
-        "new_ips": round(new_ips),
-        "speedup": round(new_ips / pr3_ips, 2),
+        "reference_ips": round(reference_ips),
+        "fast_ips": round(fast_ips),
+        "speedup": round(fast_ips / reference_ips, 2),
     }
 
 
@@ -214,11 +187,11 @@ def run_irq_timing_and_trace_identity() -> dict:
     cells_checked = 0
     for cell in env.cells:
         image = env.build_image(cell, SC88A, TARGET_BONDOUT).image
-        outcomes = [
+        fast, reference = (
             strip(timed_run(image, engine=engine)[1])
-            for engine in ("new", "pr3", "exec_off", "step")
-        ]
-        assert all(outcome == outcomes[0] for outcome in outcomes), cell
+            for engine in ("fast", "reference")
+        )
+        assert fast == reference, cell
         cells_checked += 1
     # Traced golden runs: since ISSUE 5 the fast path stays on under
     # observation — warps fire and synthesize their trace records, and
@@ -232,7 +205,7 @@ def run_irq_timing_and_trace_identity() -> dict:
         fast_session = ExecutionSession(GoldenModel(), SC88A)
         fast = fast_session.run(image)
         reference = ExecutionSession(
-            GoldenModel(), SC88A, use_block_run=False
+            GoldenModel(), SC88A, engine="reference"
         ).run(image)
         assert strip(fast) == strip(reference), cell
         assert fast.trace is not None
@@ -250,9 +223,8 @@ def test_delay_fastforward_speedup():
     RESULTS["delay_fast_forward"] = numbers
     shape(
         "superblock: delay-heavy workloads "
-        f"{numbers['speedup']:.2f}x vs the ISSUE 3 engine "
-        f"({numbers['warps']} idle warps), byte-identical vs "
-        "exec-table-off and per-step references"
+        f"{numbers['speedup']:.2f}x vs the reference engine "
+        f"({numbers['warps']} idle warps), byte-identical to it"
     )
     assert numbers["speedup"] >= FULL["min_speedup"], (
         f"superblock speedup {numbers['speedup']:.2f}x below "
@@ -265,8 +237,9 @@ def test_chaining_on_branchy_loop():
     RESULTS["chaining"] = numbers
     shape(
         "superblock: branchy ALU loop (no idle spins) "
-        f"{numbers['pr3_ips']:,} -> {numbers['new_ips']:,} instr/sec "
-        f"({numbers['speedup']:.2f}x from fusion + chaining)"
+        f"{numbers['reference_ips']:,} -> {numbers['fast_ips']:,} "
+        "instr/sec "
+        f"({numbers['speedup']:.2f}x fast vs reference engine)"
     )
     assert numbers["speedup"] >= 1.0
 
@@ -276,8 +249,8 @@ def test_irq_timing_and_trace_identity_and_emit_json():
     RESULTS["equivalence"] = numbers
     shape(
         f"superblock: {numbers['irq_cells']} interrupt-heavy runs and "
-        f"{numbers['traced_cells']} traced runs byte-identical across "
-        "all four engine configurations"
+        f"{numbers['traced_cells']} traced runs byte-identical on the "
+        "fast and reference engines"
     )
     path = RESULTS.emit()
     shape(f"superblock: wrote {path.name}")

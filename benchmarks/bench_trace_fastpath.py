@@ -5,8 +5,8 @@ retire traces, cycle-accurate timing — yet until this PR the superblock
 engine self-disabled the moment any of those was on, so exactly the
 runs the methodology cares about executed on the per-instruction path.
 This bench records the numbers ISSUE 5 ties the observed engine to,
-against ``use_superblocks=False`` (which under observation is the
-per-step reference loop — the PR 4 fallback behaviour):
+against the ``engine="reference"`` session (per-step bus fetch and
+peripheral walk, the same observation recorded per instruction):
 
 - instructions/sec on a **traced coverage run** (golden model,
   instruction trace + unbounded bus-trace recording, the functional
@@ -49,11 +49,8 @@ from _harness import engine_matrix, BenchResults, best_rate, strip_result as str
 
 RESULTS = BenchResults("trace_fastpath")
 RESULTS["engine_matrix"] = engine_matrix(
-    candidate={"use_superblocks": True},
-    reference={
-        "use_superblocks": False,
-        "note": "per-step loop under observation",
-    },
+    candidate={"engine": "fast"},
+    reference={"engine": "reference"},
 )
 
 #: Full (pytest/CI bench) and quick (perf-smoke gate) configurations.
@@ -84,11 +81,9 @@ SCENARIOS = (
 def observed_session(platform_cls, *, record_bus, fast: bool):
     platform = platform_cls()
     platform.record_bus_trace = record_bus
-    if fast:
-        return ExecutionSession(platform, SC88A)
-    # Under observation ``use_superblocks=False`` lands on the per-step
-    # reference loop — exactly the pre-ISSUE 5 fallback behaviour.
-    return ExecutionSession(platform, SC88A, use_superblocks=False)
+    return ExecutionSession(
+        platform, SC88A, engine="fast" if fast else "reference"
+    )
 
 
 def timed_observed_run(image, platform_cls, *, record_bus, fast):
@@ -121,8 +116,8 @@ def scenario_images(config, target):
 
 
 def run_observed_speedup(config) -> dict:
-    """The acceptance numbers: observed superblock engine vs the
-    per-step fallback on the traced-coverage and wait-state scenarios,
+    """The acceptance numbers: the observed fast engine vs the
+    reference engine on the traced-coverage and wait-state scenarios,
     byte-identical (outcome, retire trace, bus access stream) first."""
     scenarios = {}
     for name, platform_cls, target, record_bus in SCENARIOS:

@@ -63,7 +63,7 @@ BENCH_FLOORS: dict[str, dict[str, float]] = {
     # PR 7 is a robustness PR: its floor asserts the supervision layer
     # is free (>= 0.95x of raw sessions, i.e. <= 5% overhead), not fast.
     "resilience": {"zero_fault.speedup": 0.95},
-    # PR 8 acceptance: >= 2x over the superblock engine on the
+    # PR 8 acceptance: >= 2x over the reference engine on the
     # compute-heavy workloads (quick mode embeds its own 1.5x floor).
     "jit": {"compute.speedup": 2.0},
     # PR 9 acceptance: a warm serving daemon answers the same scenario

@@ -41,7 +41,7 @@ from pathlib import Path
 
 from repro.core.porting import compare_nvm_port
 from repro.core.reporting import regression_matrix, render_table
-from repro.core.scheduler import RegressionScheduler, ResultCache
+from repro.core.scheduler import EXECUTORS, RegressionScheduler, ResultCache
 from repro.core.system_env import make_default_system
 from repro.core.targets import all_targets, target as lookup_target
 from repro.core.testplan import TestPlan
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_regress.add_argument(
         "--executor",
-        choices=["auto", "serial", "thread", "process", "batch"],
+        choices=EXECUTORS,
         default="auto",
         help=(
             "how matrix entries execute (auto: process pool when "
@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--derivative", default="sc88a")
     p_submit.add_argument(
         "--executor",
-        choices=["auto", "serial", "thread", "process", "batch"],
+        choices=EXECUTORS,
         default="serial",
     )
     p_submit.add_argument(

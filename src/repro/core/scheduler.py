@@ -19,7 +19,7 @@ This module makes the matrix explicit:
    counted, quarantined aside and re-executed rather than replayed;
 3. **execution** — remaining entries run on a pluggable executor:
    serial (one long-lived :class:`ExecutionSession` per target), a
-   ``concurrent.futures`` thread/process pool batched by target, or the
+   ``concurrent.futures`` process pool batched by target, or the
    lock-step batch engine — all **supervised**: a worker exception,
    crash or wall-clock overrun fails only its own payload, which is
    retried with capped deterministic backoff and, after the attempt
@@ -67,7 +67,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
@@ -104,6 +103,9 @@ from repro.soc.derivatives import Derivative, derivative as lookup_derivative
 #: Bump when run semantics change in a way that invalidates old caches.
 #: 2: checksummed cache entries (corrupt files detected, not replayed).
 CACHE_SCHEMA = 2
+
+#: Executor names :class:`RegressionScheduler` accepts (module docstring).
+EXECUTORS = ("auto", "serial", "process", "batch")
 
 #: How often the pooled supervisor wakes to check deadlines/backoffs.
 _POLL_INTERVAL = 0.05
@@ -467,13 +469,12 @@ def merge_engine_stats(totals: dict, stats: dict) -> dict:
 def _run_target_batch(payload):
     """Worker: run one target's batch of images on one shared session.
 
-    Module-level so process pools can pickle it; thread pools use it
-    too, giving every worker its own platform/device to mutate.  The
-    fault plan (if any) rides along in the payload and a fresh injector
-    is built per call — worker hit counters are per-process by design,
-    so a respawned worker replays the same deterministic chaos, and
-    the ``{target}#{attempt}`` key lets plans distinguish first runs
-    from retries.
+    Module-level so process pools can pickle it.  The fault plan (if
+    any) rides along in the payload and a fresh injector is built per
+    call — worker hit counters are per-process by design, so a
+    respawned worker replays the same deterministic chaos, and the
+    ``{target}#{attempt}`` key lets plans distinguish first runs from
+    retries.
     """
     (
         target_name,
@@ -536,7 +537,7 @@ class RegressionScheduler:
         session_provider=None,
         worklist=None,
     ):
-        if executor not in ("auto", "serial", "thread", "process", "batch"):
+        if executor not in EXECUTORS:
             raise ValueError(f"unknown executor {executor!r}")
         self.targets = list(targets or all_targets())
         self.platform_overrides = dict(platform_overrides or {})
@@ -762,7 +763,7 @@ class RegressionScheduler:
         elif executor == "serial" or self.jobs <= 1 or len(normal) <= 1:
             results.extend(self._run_serial(normal, derivative))
         else:
-            results.extend(self._run_pooled(normal, derivative, executor))
+            results.extend(self._run_pooled(normal, derivative))
         return results
 
     def _run_fleet(
@@ -1099,7 +1100,6 @@ class RegressionScheduler:
         self,
         items: list[tuple[RunRequest, MemoryImage, Target]],
         derivative: Derivative,
-        executor: str,
     ) -> list[RunOutcome]:
         """``submit``-per-payload supervision loop (state machine in the
         module docstring): per-payload error attribution, wall-clock
@@ -1113,14 +1113,9 @@ class RegressionScheduler:
             _PoolJob(target=target_name, requests=batch)
             for target_name, batch in batches.items()
         ]
-        pool_cls = (
-            ThreadPoolExecutor
-            if executor == "thread"
-            else ProcessPoolExecutor
-        )
         workers = min(self.jobs, max(1, len(jobs)))
         out: list[RunOutcome] = []
-        pool = pool_cls(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers)
         #: future -> (job, wall-clock deadline or None)
         inflight: dict = {}
         #: After a pool breakage payloads run one at a time so the next
@@ -1145,7 +1140,7 @@ class RegressionScheduler:
                             ),
                         )
                     except BrokenExecutor:
-                        pool = self._rebuild_pool(pool, pool_cls, workers)
+                        pool = self._rebuild_pool(pool, workers)
                         break  # job stays queued; resubmit next pass
                     jobs.remove(job)
                     # The wall-clock deadline starts when the payload
@@ -1201,7 +1196,7 @@ class RegressionScheduler:
                         jobs.append(job)
                     inflight.clear()
                     cautious = True
-                    pool = self._rebuild_pool(pool, pool_cls, workers)
+                    pool = self._rebuild_pool(pool, workers)
                     continue
                 if cautious and done and not inflight:
                     # A payload completed alone on the rebuilt pool:
@@ -1237,15 +1232,12 @@ class RegressionScheduler:
                 # Deadlines only arm on *running* futures, so every
                 # overdue payload means a wedged worker: requeue the
                 # healthy inflight payloads untouched and rebuild
-                # (process workers are killed to reclaim them;
-                # abandoned thread workers finish in the background).
+                # (process workers are killed to reclaim them).
                 for future, (job, _deadline) in inflight.items():
                     job.retried = True
                     jobs.append(job)
                 inflight.clear()
-                pool = self._rebuild_pool(
-                    pool, pool_cls, workers, kill=True
-                )
+                pool = self._rebuild_pool(pool, workers, kill=True)
         finally:
             self._abandon_pool(pool)
         return out
@@ -1327,19 +1319,17 @@ class RegressionScheduler:
             )
         )
 
-    def _rebuild_pool(self, pool, pool_cls, workers: int, kill: bool = False):
+    def _rebuild_pool(self, pool, workers: int, kill: bool = False):
         self._abandon_pool(pool, kill=kill)
-        return pool_cls(max_workers=workers)
+        return ProcessPoolExecutor(max_workers=workers)
 
     def _abandon_pool(self, pool, kill: bool = False) -> None:
         """Shut a pool down without waiting on wedged workers.
 
-        *kill* reclaims hung process workers with SIGKILL; thread
-        workers cannot be killed and are left to finish detached.
-        Pending futures are only cancelled on thread pools — a broken
-        process pool's manager thread fails its own work items, and
-        racing it with ``cancel_futures`` trips ``InvalidStateError``
-        in that thread.
+        *kill* reclaims hung process workers with SIGKILL.  Pending
+        futures are not cancelled: a broken process pool's manager
+        thread fails its own work items, and racing it with
+        ``cancel_futures`` trips ``InvalidStateError`` in that thread.
         """
         if kill:
             processes = getattr(pool, "_processes", None)
@@ -1349,10 +1339,7 @@ class RegressionScheduler:
                         process.kill()
                     except Exception:
                         pass
-        pool.shutdown(
-            wait=False,
-            cancel_futures=isinstance(pool, ThreadPoolExecutor),
-        )
+        pool.shutdown(wait=False)
 
     # -- reporting ---------------------------------------------------------
     def _assemble_report(

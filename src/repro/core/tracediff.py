@@ -132,8 +132,10 @@ def compare_traces(
     reference: Platform,
     subject: Platform,
     max_instructions: int = 200_000,
+    engine: str = "fast",
 ) -> TraceComparison:
-    """Run *image* on both platforms and locate the first fork.
+    """Run *image* on both platforms (on *engine*) and locate the first
+    fork.
 
     Raises :class:`ValueError` when either platform lacks trace
     visibility — the caller should fall back to end-state comparison.
@@ -143,8 +145,12 @@ def compare_traces(
             raise ValueError(
                 f"platform {platform.name!r} has no trace visibility"
             )
-    reference.run(image, derivative, max_instructions=max_instructions)
-    subject.run(image, derivative, max_instructions=max_instructions)
+    reference.run(
+        image, derivative, max_instructions=max_instructions, engine=engine
+    )
+    subject.run(
+        image, derivative, max_instructions=max_instructions, engine=engine
+    )
     reference_trace = reference.last_cpu.trace or []
     subject_trace = subject.last_cpu.trace or []
     return TraceComparison(

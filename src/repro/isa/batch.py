@@ -5,9 +5,8 @@ runs N matrix cells — same image across platforms, or a stimulus sweep —
 through one engine pass.  This module owns its data layout:
 
 - :class:`LaneRows` holds the architectural state of every lane as
-  N-wide *rows* (one row per architectural register, one column per
-  lane): plain :mod:`array`-module rows by default, numpy vectors when
-  numpy is importable (``HAVE_NUMPY``).  Rows make the cross-lane
+  N-wide :mod:`array`-module *rows* (one row per architectural
+  register, one column per lane).  Rows make the cross-lane
   questions the batch engine asks — *which lanes diverge from the
   leader?  on which registers?* — single-row comparisons instead of
   per-lane object walks.
@@ -44,14 +43,6 @@ from repro.isa.decodecache import (
 )
 from repro.isa.registers import WORD_MASK
 
-try:  # pragma: no cover - exercised through both backends in tests
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
-
 #: Row order: 16 data registers, 16 address registers, then the
 #: non-register architectural columns every lane carries.
 ROW_NAMES: tuple[str, ...] = (
@@ -64,32 +55,19 @@ ROW_NAMES: tuple[str, ...] = (
 class LaneRows:
     """Architectural state of N lanes as per-register rows.
 
-    Values are stored as signed 64-bit integers (every architectural
-    value is an unsigned 32-bit word; cycle/retire counters fit with
-    room to spare).  The numpy backend stores each row as an
-    ``int64`` vector and answers divergence queries vectorised; the
-    fallback uses :mod:`array` rows with the same layout.
+    Values are stored as signed 64-bit integers (``array("q")``: every
+    architectural value is an unsigned 32-bit word; cycle/retire
+    counters fit with room to spare).
     """
 
-    __slots__ = ("lanes", "rows", "backend")
+    __slots__ = ("lanes", "rows")
 
-    def __init__(self, lanes: int, backend: str | None = None):
+    def __init__(self, lanes: int):
         if lanes <= 0:
             raise ValueError("LaneRows needs at least one lane")
-        if backend is None:
-            backend = "numpy" if HAVE_NUMPY else "array"
-        if backend == "numpy" and not HAVE_NUMPY:
-            raise ValueError("numpy backend requested but numpy is missing")
         self.lanes = lanes
-        self.backend = backend
-        if backend == "numpy":
-            self.rows = {
-                name: _np.zeros(lanes, dtype=_np.int64)
-                for name in ROW_NAMES
-            }
-        else:
-            zero = array("q", bytes(8 * lanes))
-            self.rows = {name: array("q", zero) for name in ROW_NAMES}
+        zero = array("q", bytes(8 * lanes))
+        self.rows = {name: array("q", zero) for name in ROW_NAMES}
 
     # -- scalar-core interchange -------------------------------------------
     def capture(self, lane: int, cpu) -> None:
@@ -136,12 +114,6 @@ class LaneRows:
     # -- cross-lane queries -------------------------------------------------
     def diverging_lanes(self, reference: int = 0) -> list[int]:
         """Lanes whose column differs from *reference* in any row."""
-        if self.backend == "numpy":
-            matrix = _np.stack([self.rows[name] for name in ROW_NAMES])
-            mask = _np.any(
-                matrix != matrix[:, reference : reference + 1], axis=0
-            )
-            return [int(i) for i in _np.nonzero(mask)[0] if i != reference]
         out = []
         for lane in range(self.lanes):
             if lane == reference:

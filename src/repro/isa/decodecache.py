@@ -104,9 +104,7 @@ for _op in Opcode:
 #: pre-classifies them and precomputes their operands so the execute
 #: stage is one register access plus one direct memory access.  Kinds
 #: 1..10 are the word-size micro-ops; 11..14 are the byte/halfword
-#: loads and stores (zero-extended on load, truncated on store), which
-#: only the executor table serves — the core's legacy inline branch
-#: predates them and routes them through the ``if/elif`` chain.
+#: loads and stores (zero-extended on load, truncated on store).
 MEM_NONE = 0
 MEM_LD_W = 1
 MEM_ST_W = 2
@@ -122,9 +120,6 @@ MEM_LD_H = 11
 MEM_LD_B = 12
 MEM_ST_H = 13
 MEM_ST_B = 14
-
-#: Last of the word-size kinds the legacy inline branch understands.
-MEM_LAST_WORD_KIND = MEM_STABS_A
 
 _MEM_KINDS: dict[Opcode, int] = {
     Opcode.LD_W: MEM_LD_W,

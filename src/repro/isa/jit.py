@@ -41,8 +41,9 @@ the ``_w`` variant's costs.  Terminators the compiler does not model as
 chain still inlines everything before them and finishes the odd
 terminator through its bound executor, byte-identically.
 
-The superblock engine itself (``use_jit=False``) is the reference
-baseline, exactly as each prior engine PR kept its predecessor.
+Compiled chains are part of the ``"fast"`` session engine; the
+``"reference"`` engine (:mod:`repro.platforms.session`) is the oracle
+they are tested against.
 """
 
 from __future__ import annotations

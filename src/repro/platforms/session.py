@@ -17,34 +17,37 @@ long-lived device:
 - ``observe``: the platform's ``judge``/``collect`` hooks derive the
   verdict from whatever that platform can legitimately see.
 
-The run phase drives the core in **blocks bounded by the SoC's
-peripheral event horizon**: instead of ticking every peripheral after
-every retired instruction, the SoC reports the cycle distance to the
-next observable peripheral event (timer underflow, watchdog expiry,
-NVM completion, level-sensitive interrupt re-raise), the core executes
-up to that many cycles in one :meth:`CpuCore.run` block with the
-per-step invariant checks hoisted out of the inner loop, and the
-deferred peripheral time is settled in one linear ``tick`` at the
-boundary.  Peripheral register accesses and SoC probes settle the debt
-early (and SFR writes end the current block so a moved horizon is
-picked up), which makes batched and per-step driving byte-identical —
-the legacy step/tick loop survives behind ``use_block_run=False`` as
-the reference baseline.
+Engines
+-------
 
-Within a block the core executes superblock-at-a-time (straight-line
-fusion, chaining across taken branches, and analytic fast-forward of
-idle ``DJNZ`` spins — see :mod:`repro.isa.decodecache` and
-:meth:`CpuCore._run_superblocks`); ``use_superblocks=False`` selects
-the per-instruction hoisted loop and ``use_fast_forward=False`` just
-the warp, both for ablation benchmarks.  Observed runs — instruction
-traces, bus-trace recording, wait-state charging — take the same
-superblock path through :meth:`CpuCore._run_superblocks_observed`,
-which replays each block's precomputed fetch-event and retire-record
-templates in bulk, so coverage and cycle-accurate runs no longer drop
-to per-instruction execution.  :meth:`ExecutionSession.stats` exposes
-the fast-path telemetry (warps, blocks executed, template replays,
-legacy fallbacks) so silent fast-path coverage regressions are
-visible to tests and benchmarks.
+A session runs on one of two engines, chosen with ``engine=``:
+
+- ``"fast"`` (the default) drives the core in **blocks bounded by the
+  SoC's peripheral event horizon**.  The SoC reports the cycle distance
+  to the next observable peripheral event (timer underflow, watchdog
+  expiry, NVM completion, level-sensitive interrupt re-raise); the core
+  executes up to that many cycles in one :meth:`CpuCore.run` block, and
+  the deferred peripheral time is settled in one linear ``tick`` at the
+  boundary.  Peripheral register accesses and SoC probes settle the
+  debt early, and SFR writes end the current block so a moved horizon
+  is picked up.  Inside a block the core runs ROM code from the shared
+  predecode cache superblock-at-a-time (straight-line fusion, chaining
+  across taken branches, analytic fast-forward of idle ``DJNZ`` spins
+  and template-JIT chains — see :mod:`repro.isa.decodecache`,
+  :mod:`repro.isa.jit` and :meth:`CpuCore._run_superblocks`).
+  Observed runs (instruction traces, bus-trace recording, wait-state
+  charging) stay on this path and replay each block's precomputed
+  fetch-event and retire-record templates in bulk.
+- ``"reference"`` is the oracle: one :meth:`CpuCore.step` per
+  instruction with a real bus fetch and the ``_execute`` chain, and one
+  walk of every peripheral after each step.  Every fast-path test
+  compares against it.
+
+Both engines retire byte-identical verdicts, cycles, retire traces,
+bus traces and interrupt timing.  :meth:`ExecutionSession.stats`
+exposes the fast-path telemetry (warps, blocks executed, template
+replays, reference fallbacks) so silent fast-path coverage regressions
+are visible to tests and benchmarks.
 
 ``Platform.run`` now delegates to a throwaway session, so its
 fresh-device-per-call semantics (``last_soc``/``last_cpu`` inspection)
@@ -57,7 +60,7 @@ The batched lock-step engine
 :class:`BatchSession` runs N matrix cells — the same image across many
 platform instances, or a per-lane stimulus sweep — through **one**
 engine pass.  Lanes whose execution is byte-identical by construction
-(same derivative, same timing fidelity, same engine flags, no platform
+(same derivative, same timing fidelity, same engine, no platform
 hooks) form a *cohort*: the cohort's leader executes once on the scalar
 engine above, every superblock/decoded entry replayed a single time for
 the whole cohort, and the converged lanes inherit the leader's
@@ -98,6 +101,9 @@ from repro.platforms.cpu import CpuCore, CpuFault
 from repro.soc.bus import BusTrace
 from repro.soc.derivatives import Derivative
 
+#: The two execution engines a session can run on (module docstring).
+ENGINES = ("reference", "fast")
+
 # Injection-site names from :mod:`repro.core.faults` (string literals
 # here: importing that module would initialise ``repro.core`` while
 # ``repro.platforms`` may itself still be mid-import).
@@ -121,29 +127,29 @@ class _RunContext:
         image: MemoryImage,
         max_instructions: int,
         bus_trace: BusTrace | None,
-        use_block: bool,
+        engine: str,
     ):
         self.image = image
         self.max_instructions = max_instructions
         self.bus_trace = bus_trace
         self.fault_reason: str | None = None
-        self.use_block = use_block
+        self.use_block = engine == "fast"
 
 
 class ExecutionSession:
-    """One (platform, derivative) device reused across many runs."""
+    """One (platform, derivative) device reused across many runs, on
+    *engine* ``"fast"`` (the default) or ``"reference"`` (see the
+    module docstring)."""
 
     def __init__(
         self,
         platform,
         derivative: Derivative,
-        use_decode_cache: bool | None = None,
-        use_block_run: bool | None = None,
-        use_superblocks: bool | None = None,
-        use_fast_forward: bool | None = None,
-        use_jit: bool | None = None,
+        engine: str = "fast",
         injector=None,
     ):
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}")
         self.platform = platform
         self.derivative = derivative
         #: Optional :class:`repro.core.faults.FaultInjector`; consulted
@@ -157,31 +163,7 @@ class ExecutionSession:
             charge_wait_states=platform.cycle_accurate,
         )
         platform.configure_cpu(self.cpu, self.soc)
-        self.use_decode_cache = (
-            platform.use_decode_cache
-            if use_decode_cache is None
-            else use_decode_cache
-        )
-        self.use_block_run = (
-            getattr(platform, "use_block_run", True)
-            if use_block_run is None
-            else use_block_run
-        )
-        self.cpu.use_superblocks = (
-            getattr(platform, "use_superblocks", True)
-            if use_superblocks is None
-            else use_superblocks
-        )
-        self.cpu.use_fast_forward = (
-            getattr(platform, "use_fast_forward", True)
-            if use_fast_forward is None
-            else use_fast_forward
-        )
-        self.cpu.use_jit = (
-            getattr(platform, "use_jit", True)
-            if use_jit is None
-            else use_jit
-        )
+        self.engine = engine
         self.runs_completed = 0
         #: Latched when a run escaped through an exception: the device
         #: is in an unknown state, so pools and schedulers must discard
@@ -202,7 +184,7 @@ class ExecutionSession:
         ``ff_warps`` counts analytic idle-spin warps, ``sb_blocks``
         superblocks executed through the block engine, ``sb_replays``
         bulk observation-template replays, and ``sb_fallback_steps``
-        legacy per-step fallbacks taken inside the superblock loops —
+        reference per-step fallbacks taken inside the superblock loop —
         a nonzero fallback count on a ROM-resident workload means the
         fast path silently lost coverage.  ``decode_hits`` /
         ``decode_misses`` report the shared (cross-run, cross-platform)
@@ -313,7 +295,7 @@ class ExecutionSession:
         # a real bus fetch — at predecoded speed.
         self._attach_decode_cache(image)
 
-        ctx = _RunContext(image, max_instructions, bus_trace, self.use_block_run)
+        ctx = _RunContext(image, max_instructions, bus_trace, self.engine)
         if ctx.use_block:
             soc.attach_cpu(cpu)
         return ctx
@@ -352,14 +334,14 @@ class ExecutionSession:
             cpu.trace is not None and not self.platform.sees_trace
         )
         self._attach_decode_cache(image)
-        ctx = _RunContext(image, max_instructions, None, self.use_block_run)
+        ctx = _RunContext(image, max_instructions, None, self.engine)
         if ctx.use_block:
             soc.attach_cpu(cpu)
         return ctx
 
     def _attach_decode_cache(self, image: MemoryImage) -> None:
         soc = self.soc
-        if self.use_decode_cache:
+        if self.engine == "fast":
             rom = soc.memory_map.rom
             mapping = soc.bus.mapping_for(rom.base, 4)
             self.cpu.decode_cache = decode_cache_for(
@@ -665,32 +647,24 @@ class BatchSession:
     oracle, and any lane the lock-step argument cannot cover is peeled
     onto it.
 
-    Engine-flag keyword arguments are applied uniformly to every lane
-    session (leader and peeled), mirroring :class:`ExecutionSession`.
+    *engine* applies uniformly to every lane session (leader and
+    peeled), mirroring :class:`ExecutionSession`.
     """
 
     def __init__(
         self,
         derivative: Derivative,
         platforms,
-        use_decode_cache: bool | None = None,
-        use_block_run: bool | None = None,
-        use_superblocks: bool | None = None,
-        use_fast_forward: bool | None = None,
-        use_jit: bool | None = None,
+        engine: str = "fast",
         injector=None,
     ):
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}")
         self.derivative = derivative
         self.platforms = list(platforms)
         if not self.platforms:
             raise ValueError("BatchSession needs at least one lane")
-        self._engine_overrides = {
-            "use_decode_cache": use_decode_cache,
-            "use_block_run": use_block_run,
-            "use_superblocks": use_superblocks,
-            "use_fast_forward": use_fast_forward,
-            "use_jit": use_jit,
-        }
+        self.engine = engine
         #: Optional :class:`repro.core.faults.FaultInjector`, shared by
         #: every lane session this batch creates.
         self.injector = injector
@@ -888,28 +862,9 @@ class BatchSession:
             or cls.build_soc is not Platform.build_soc
         ):
             return None
-        overrides = self._engine_overrides
-
-        def effective(name, default):
-            value = overrides[name]
-            return default if value is None else value
-
-        return (
-            platform.cycle_accurate,
-            effective("use_decode_cache", platform.use_decode_cache),
-            effective(
-                "use_block_run", getattr(platform, "use_block_run", True)
-            ),
-            effective(
-                "use_superblocks",
-                getattr(platform, "use_superblocks", True),
-            ),
-            effective(
-                "use_fast_forward",
-                getattr(platform, "use_fast_forward", True),
-            ),
-            effective("use_jit", getattr(platform, "use_jit", True)),
-        )
+        # One engine per batch: timing fidelity is the only per-lane
+        # axis that changes execution.
+        return platform.cycle_accurate
 
     def _session_for(self, lane: BatchLane) -> ExecutionSession:
         session = self._sessions.get(lane.index)
@@ -917,8 +872,8 @@ class BatchSession:
             session = ExecutionSession(
                 lane.platform,
                 self.derivative,
+                engine=self.engine,
                 injector=self.injector,
-                **self._engine_overrides,
             )
             self._sessions[lane.index] = session
         return session

@@ -55,15 +55,11 @@ class WarmSessionPool:
         self,
         max_idle: int = 12,
         injector=None,
-        engine_flags: dict | None = None,
     ):
         self.max_idle = max(1, int(max_idle))
         #: Optional :class:`repro.core.faults.FaultInjector` driving
         #: the ``pool-lease`` chaos site.
         self.injector = injector
-        #: Engine-flag overrides applied to every pooled session
-        #: (``use_jit`` etc.), part of the pool key by construction.
-        self.engine_flags = dict(engine_flags or {})
         self._lock = threading.Lock()
         #: key -> stack of idle sessions (most recently returned last).
         self._idle: dict[tuple, list[ExecutionSession]] = {}
@@ -81,11 +77,7 @@ class WarmSessionPool:
 
     # -- keys --------------------------------------------------------------
     def _key(self, target, derivative: Derivative) -> tuple:
-        return (
-            target.name,
-            derivative.name,
-            tuple(sorted(self.engine_flags.items())),
-        )
+        return (target.name, derivative.name)
 
     # -- checkout ----------------------------------------------------------
     def lease(self, target, derivative: Derivative) -> ExecutionSession:
@@ -119,7 +111,6 @@ class WarmSessionPool:
                 target.make_platform(),
                 derivative,
                 injector=self.injector,
-                **self.engine_flags,
             )
         except Exception:
             with self._lock:

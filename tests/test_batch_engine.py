@@ -1,7 +1,8 @@
 """Tests for the batched lock-step engine (ISSUE 6).
 
-The scalar :class:`ExecutionSession` is the byte-identity oracle: every
-batch property here compares a batch-of-N against N scalar runs on
+The scalar ``engine="reference"`` :class:`ExecutionSession` is the
+byte-identity oracle: every batch property here compares a batch-of-N
+against N scalar runs on
 result words, retire traces, cycle counts, register files and UART
 output.  The peel machinery is exercised through per-lane stimulus
 (forced divergence), leader writes that heal dirty bytes before any
@@ -19,7 +20,6 @@ from repro.core.regression import RegressionRunner
 from repro.core.targets import TARGET_GOLDEN
 from repro.isa.batch import (
     BATCH_EXECUTORS,
-    HAVE_NUMPY,
     LaneRows,
     ROW_NAMES,
     load_footprint,
@@ -49,8 +49,6 @@ MEMORY_MAP = SC88A.memory_map()
 STIM_ADDR = 0x1000_8000
 
 SIX = ["golden", "rtl", "gatelevel", "accelerator", "bondout", "silicon"]
-
-BACKENDS = ["array"] + (["numpy"] if HAVE_NUMPY else [])
 
 
 def build_image(body: str):
@@ -120,8 +118,10 @@ def strip(result):
     )
 
 
-def scalar_reference(name, image, stimulus=None, **engine):
-    session = ExecutionSession(make_platform(name), SC88A, **engine)
+def scalar_reference(name, image, stimulus=None):
+    session = ExecutionSession(
+        make_platform(name), SC88A, engine="reference"
+    )
     return session.run(image, stimulus=stimulus)
 
 
@@ -130,12 +130,11 @@ def scalar_reference(name, image, stimulus=None, **engine):
 # --------------------------------------------------------------------------
 
 class TestLaneRows:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_capture_restore_roundtrip(self, backend):
+    def test_capture_restore_roundtrip(self):
         session = ExecutionSession(make_platform("golden"), SC88A)
         session.run(BRANCH_IMAGE)
         cpu = session.cpu
-        rows = LaneRows(3, backend=backend)
+        rows = LaneRows(3)
         rows.capture(1, cpu)
         before = {
             "data": list(cpu.regs.data),
@@ -159,9 +158,8 @@ class TestLaneRows:
         assert cpu.instructions_retired == before["retired"]
         assert cpu.halted == before["halted"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_divergence_queries(self, backend):
-        rows = LaneRows(4, backend=backend)
+    def test_divergence_queries(self):
+        rows = LaneRows(4)
         assert rows.diverging_lanes() == []
         rows.rows["d3"][2] = 99
         rows.rows["pc"][3] = 0x200
@@ -170,11 +168,10 @@ class TestLaneRows:
         assert rows.lane_divergences(0, 3) == ["pc"]
         assert rows.column(2)["d3"] == 99
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_broadcast(self, backend):
+    def test_broadcast(self):
         session = ExecutionSession(make_platform("golden"), SC88A)
         session.run(BRANCH_IMAGE)
-        rows = LaneRows(3, backend=backend)
+        rows = LaneRows(3)
         rows.broadcast(session.cpu)
         assert rows.diverging_lanes() == []
         assert rows.column(0) == rows.column(2)
@@ -183,13 +180,6 @@ class TestLaneRows:
         assert len(ROW_NAMES) == 16 + 16 + 5
         with pytest.raises(ValueError):
             LaneRows(0)
-
-    def test_numpy_backend_requires_numpy(self):
-        if HAVE_NUMPY:
-            assert LaneRows(2, backend="numpy").backend == "numpy"
-        else:
-            with pytest.raises(ValueError):
-                LaneRows(2, backend="numpy")
 
 
 class TestBatchExecutors:
@@ -203,7 +193,7 @@ class TestBatchExecutors:
             mem_kind = MEM_LD_W
             r1 = 5
 
-        rows = LaneRows(2, backend="array")
+        rows = LaneRows(2)
         BATCH_EXECUTORS[MEM_LD_W](rows, 1, Entry, 0x1_2345_6789)
         assert rows.rows["d5"][1] == 0x2345_6789  # masked to a word
         assert rows.rows["d5"][0] == 0
@@ -302,9 +292,9 @@ class TestDivergence:
     NAMES = ["golden", "golden", "golden", "rtl"]
     STIMULI = [None, {STIM_ADDR: 1}, {STIM_ADDR: 2}, {STIM_ADDR: 1}]
 
-    def make_batch(self, **engine):
+    def make_batch(self, engine="fast"):
         return BatchSession(
-            SC88A, [make_platform(n) for n in self.NAMES], **engine
+            SC88A, [make_platform(n) for n in self.NAMES], engine=engine
         )
 
     def test_divergent_stimulus_peels_and_stays_byte_identical(self):
@@ -356,18 +346,16 @@ class TestDivergence:
         assert all(lane.batched for lane in batch.last_lanes)
 
     def test_per_step_reference_loop_peels_from_reset(self):
-        # use_block_run=False has no block boundaries, so peels are
+        # The reference engine has no block boundaries, so peels are
         # serviced at end of run by conservative from-reset re-runs —
         # still byte-identical to the per-step scalar oracle.
-        batch = self.make_batch(use_block_run=False)
+        batch = self.make_batch(engine="reference")
         results = batch.run_batch(BRANCH_IMAGE, stimuli=self.STIMULI)
         for name, stimulus, result in zip(
             self.NAMES, self.STIMULI, results
         ):
             assert strip(result) == strip(
-                scalar_reference(
-                    name, BRANCH_IMAGE, stimulus, use_block_run=False
-                )
+                scalar_reference(name, BRANCH_IMAGE, stimulus)
             )
         assert batch.peel_events == 2
 

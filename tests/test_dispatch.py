@@ -80,11 +80,9 @@ def strip(result):
 
 
 def reference_session(platform, derivative) -> ExecutionSession:
-    """The pre-dispatch engine: ``if/elif`` chain on every retire, one
-    peripheral walk per instruction."""
-    session = ExecutionSession(platform, derivative, use_block_run=False)
-    session.cpu.use_exec_table = False
-    return session
+    """The reference engine: bus fetch and ``if/elif`` chain on every
+    retire, one peripheral walk per instruction."""
+    return ExecutionSession(platform, derivative, engine="reference")
 
 
 ENVIRONMENT_FACTORIES = [
@@ -128,12 +126,10 @@ class TestEngineEquivalence:
         env = make_timer_environment()
         image = env.build_image("TEST_TIMER_IRQ", SC88A, TARGET_GOLDEN).image
         traces = []
-        for use_block in (True, False):
+        for engine in ("fast", "reference"):
             platform = GoldenModel()
             platform.record_bus_trace = True
-            session = ExecutionSession(
-                platform, SC88A, use_block_run=use_block
-            )
+            session = ExecutionSession(platform, SC88A, engine=engine)
             result = session.run(image)
             assert result.passed
             traces.append(platform.last_bus_trace.raw())

@@ -18,7 +18,14 @@ from repro.isa.decodecache import (
     decode_cache_for,
 )
 from repro.isa.instructions import Opcode
-from repro.platforms import ExecutionSession, GoldenModel, RtlSim, RunStatus
+from repro.platforms import (
+    BatchSession,
+    ExecutionSession,
+    GoldenModel,
+    RtlSim,
+    RunStatus,
+)
+from repro.platforms.session import ENGINES
 from repro.soc.derivatives import SC88A, SC88B
 from repro.soc.device import PASS_MAGIC
 
@@ -119,9 +126,9 @@ ENVIRONMENT_FACTORIES = [
 
 
 class TestEngineEquivalence:
-    """The predecoded engine must retire identical (signature, cycles,
-    trace) to the legacy per-step decode path — the property the whole
-    tentpole hangs on."""
+    """The fast engine must retire identical (signature, cycles, trace)
+    to the reference engine's per-step decode path — the property the
+    whole tentpole hangs on."""
 
     @pytest.mark.parametrize("make_env", ENVIRONMENT_FACTORIES)
     @pytest.mark.parametrize(
@@ -136,11 +143,9 @@ class TestEngineEquivalence:
         env = make_env()
         for cell_name in env.cells:
             image = env.build_image(cell_name, derivative, tgt).image
-            fast = ExecutionSession(
-                platform_cls(), derivative, use_decode_cache=True
-            ).run(image)
+            fast = ExecutionSession(platform_cls(), derivative).run(image)
             legacy = ExecutionSession(
-                platform_cls(), derivative, use_decode_cache=False
+                platform_cls(), derivative, engine="reference"
             ).run(image)
             assert _strip(fast) == _strip(legacy), cell_name
             assert fast.status is RunStatus.PASS
@@ -155,6 +160,16 @@ class TestEngineEquivalence:
         cache = session.cpu.decode_cache
         assert cache is not None
         assert cache.hits > 0
+
+    def test_exactly_two_engines(self):
+        assert ENGINES == ("reference", "fast")
+        reference = ExecutionSession(GoldenModel(), SC88A, engine="reference")
+        assert reference.engine == "reference"
+        for engine in ("turbo", "", None):
+            with pytest.raises(ValueError, match="unknown engine"):
+                ExecutionSession(GoldenModel(), SC88A, engine=engine)
+            with pytest.raises(ValueError, match="unknown engine"):
+                BatchSession(SC88A, [GoldenModel()], engine=engine)
 
 
 RAM_EXECUTION_SOURCE = f"""\

@@ -1,7 +1,7 @@
 """Fault-tolerant regression execution: supervision, quarantine, chaos.
 
 Drives seeded :class:`~repro.core.faults.FaultPlan`\\ s through the
-serial / thread / process / batch executors and asserts the contract
+serial / process / batch executors and asserts the contract
 the supervision layer promises: the matrix always completes, healthy
 cells keep byte-identical verdicts vs a fault-free run, and faulty
 cells surface as retried / degraded / quarantined bookkeeping instead
@@ -230,7 +230,7 @@ class TestSerialSupervision:
 
 
 class TestPooledSupervision:
-    def test_thread_worker_exception_does_not_abort_matrix(
+    def test_process_worker_exception_does_not_abort_matrix(
         self, baseline_report
     ):
         # The original pool.map semantics aborted every payload on the
@@ -240,14 +240,14 @@ class TestPooledSupervision:
                       match="rtl#0", times=1),
         ])
         report = RegressionScheduler(
-            jobs=3, executor="thread", fault_plan=plan,
+            jobs=3, executor="process", fault_plan=plan,
             backoff_base=0.001,
         ).run_system(make_environments(), SC88A)
         assert report.retried_runs >= 1
         assert report.quarantined_runs == 0
         assert_healthy_cells_identical(report, baseline_report)
 
-    def test_thread_persistent_fault_quarantines_per_cell(
+    def test_process_persistent_fault_quarantines_per_cell(
         self, baseline_report
     ):
         plan = FaultPlan(specs=[
@@ -255,7 +255,7 @@ class TestPooledSupervision:
                       match="rtl#", times=999),
         ])
         report = RegressionScheduler(
-            jobs=2, executor="thread", fault_plan=plan, retries=1,
+            jobs=2, executor="process", fault_plan=plan, retries=1,
             backoff_base=0.001,
         ).run_system(make_environments(), SC88A)
         rtl_cells = [
@@ -480,7 +480,6 @@ CHAOS_PLAN = FaultPlan(
 class TestChaosAcceptance:
     @pytest.mark.parametrize("executor,jobs", [
         ("serial", 1),
-        ("thread", 2),
         ("process", 2),
     ])
     def test_chaos_matrix_completes_everywhere(

@@ -7,10 +7,10 @@ The contract under test:
     operands, branch targets and cycle costs baked in; idle spins and
     cold junk are declined; compiled chains live on the ``Superblock``
     in the shared digest-keyed registry.
-(b) **Equivalence** — with ``use_jit=True`` (the default) every run
-    retires byte-identical signature / instruction count / cycles /
-    retire trace / bus trace to the ``use_jit=False`` superblock engine
-    across **all six platforms**, on compute-heavy workloads where no
+(b) **Equivalence** — every ``engine="fast"`` run (compiled chains
+    included) retires byte-identical signature / instruction count /
+    cycles / retire trace / bus trace to the ``engine="reference"``
+    oracle across **all six platforms**, on compute-heavy workloads where no
     closed-form warp applies, with ``jit_chains``/``jit_exec_steps``
     telemetry nonzero.
 (c) **Invalidation** — self-modifying RAM code (never cached, never
@@ -175,17 +175,17 @@ class TestChainCompiler:
         assert cpu.jit_chains == 1
         assert cpu.jit_exec_steps > 0
 
-    def test_use_jit_false_never_compiles(self):
+    def test_reference_engine_never_compiles(self):
         image = link_source(ALU_LOOP_SOURCE)
-        cache_for(image).flush_chains()  # registry is shared across tests
-        cpu, _ = direct_cpu(image)
-        cpu.use_jit = False
-        cpu.run()
-        assert cpu.halted
-        head = cpu.decode_cache.block_at(image.symbol("loop"))
-        assert head.jit_u is None
-        assert cpu.jit_chains == 0
-        assert cpu.jit_exec_steps == 0
+        cache = cache_for(image)
+        cache.flush_chains()  # registry is shared across tests
+        session = ExecutionSession(GoldenModel(), SC88A, engine="reference")
+        result = session.run(image)
+        assert result.signature == PASS_MAGIC
+        assert session.cpu.decode_cache is None
+        assert cache.block_at(image.symbol("loop")).jit_u is None
+        assert session.cpu.jit_chains == 0
+        assert session.cpu.jit_exec_steps == 0
 
     def test_compile_prememoises_successor_edges(self):
         image = link_source(ALU_LOOP_SOURCE)
@@ -215,7 +215,7 @@ class TestComputeEquivalenceAcrossPlatforms:
     ):
         """The acceptance property: compiled chains retire byte-identical
         signature, instruction count, cycles and retire trace vs the
-        ``use_jit=False`` superblock engine on every platform, on the
+        ``engine="reference"`` oracle on every platform, on the
         workload class where no closed-form warp applies."""
         platform_cls = PLATFORM_CLASSES[platform_name]
         env = make_compute_environment(compute_loops=(600,))
@@ -225,7 +225,7 @@ class TestComputeEquivalenceAcrossPlatforms:
             jit_session = ExecutionSession(platform_cls(), derivative)
             jit = jit_session.run(image)
             reference = ExecutionSession(
-                platform_cls(), derivative, use_jit=False
+                platform_cls(), derivative, engine="reference"
             ).run(image)
             assert strip(jit) == strip(reference), (
                 platform_name,
@@ -236,8 +236,8 @@ class TestComputeEquivalenceAcrossPlatforms:
 
     def test_bus_trace_replay_is_identical(self):
         """A bus-trace-recording platform replays fetch/access events
-        from inside the compiled body, byte-identical to the superblock
-        engine's replay."""
+        from inside the compiled body, byte-identical to the reference
+        engine's real fetches."""
         image = link_source(ALU_LOOP_SOURCE)
         for name in sorted(PLATFORM_CLASSES):
             cls = PLATFORM_CLASSES[name]
@@ -245,7 +245,9 @@ class TestComputeEquivalenceAcrossPlatforms:
             jit_platform.record_bus_trace = True
             ref_platform.record_bus_trace = True
             ExecutionSession(jit_platform, SC88A).run(image)
-            ExecutionSession(ref_platform, SC88A, use_jit=False).run(image)
+            ExecutionSession(
+                ref_platform, SC88A, engine="reference"
+            ).run(image)
             assert list(jit_platform.last_bus_trace.raw()) == list(
                 ref_platform.last_bus_trace.raw()
             ), name
@@ -305,7 +307,7 @@ class TestInvalidation:
         patched bytes exactly like the reference."""
         image = link_source(SELF_MODIFYING_SOURCE)
         jit = ExecutionSession(GoldenModel(), SC88A)
-        ref = ExecutionSession(GoldenModel(), SC88A, use_jit=False)
+        ref = ExecutionSession(GoldenModel(), SC88A, engine="reference")
         jit_result = jit.run(image)
         ref_result = ref.run(image)
         assert strip(jit_result) == strip(ref_result)
@@ -328,7 +330,7 @@ class TestInvalidation:
         image = env.build_image("TEST_SFR_CHAIN", SC88A, TARGET_GOLDEN).image
         cls = PLATFORM_CLASSES[platform_name]
         jit = ExecutionSession(cls(), SC88A).run(image)
-        ref = ExecutionSession(cls(), SC88A, use_jit=False).run(image)
+        ref = ExecutionSession(cls(), SC88A, engine="reference").run(image)
         assert strip(jit) == strip(ref), platform_name
 
     def test_derivative_swap_uses_distinct_caches(self):
@@ -344,7 +346,7 @@ class TestInvalidation:
             result = session.run(image)
             assert result.status is RunStatus.PASS, derivative.name
             ref = ExecutionSession(
-                GoldenModel(), derivative, use_jit=False
+                GoldenModel(), derivative, engine="reference"
             ).run(image)
             assert strip(result) == strip(ref), derivative.name
             caches[derivative.name] = session.cpu.decode_cache
@@ -369,7 +371,7 @@ class TestInvalidation:
         # Scheduler policy: a failed attempt discards the session.
         retry = ExecutionSession(GoldenModel(), SC88A, injector=injector)
         result = retry.run(image)
-        ref = ExecutionSession(GoldenModel(), SC88A, use_jit=False).run(
+        ref = ExecutionSession(GoldenModel(), SC88A, engine="reference").run(
             image
         )
         assert strip(result) == strip(ref)

@@ -315,11 +315,11 @@ class TestRoutingEquivalence:
 # property (b): decode cache stays on under tracing, observably identical
 # ---------------------------------------------------------------------------
 
-def traced_run(image, derivative, platform_cls, use_decode_cache):
+def traced_run(image, derivative, platform_cls, use_cache):
     platform = platform_cls()
     platform.record_bus_trace = True
     session = ExecutionSession(
-        platform, derivative, use_decode_cache=use_decode_cache
+        platform, derivative, engine="fast" if use_cache else "reference"
     )
     result = session.run(image)
     return platform, session, result
@@ -392,11 +392,13 @@ class TestTracedCacheEquivalence:
         )
         points = []
         for use_cache in (True, False):
-            reference = GoldenModel()
-            subject = GateLevelSim(fault=fault)
-            reference.use_decode_cache = use_cache
-            subject.use_decode_cache = use_cache
-            comparison = compare_traces(image, SC88A, reference, subject)
+            comparison = compare_traces(
+                image,
+                SC88A,
+                GoldenModel(),
+                GateLevelSim(fault=fault),
+                engine="fast" if use_cache else "reference",
+            )
             assert not comparison.identical
             point = comparison.divergence
             points.append(

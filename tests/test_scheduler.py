@@ -64,7 +64,7 @@ class TestExecutors:
         assert status_matrix(report) == status_matrix(legacy)
         assert report.clean
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_pooled_matches_serial(self, executor):
         serial = RegressionScheduler().run_system(
             make_environments(), SC88A
@@ -87,7 +87,7 @@ class TestExecutors:
         )
         scheduler = RegressionScheduler(
             jobs=2,
-            executor="thread",
+            executor="process",
             platform_overrides={"gatelevel": GateLevelSim(fault=fault)},
         )
         report = scheduler.run_environment(make_nvm_environment(2), SC88A)
@@ -195,7 +195,7 @@ class TestRegressCli:
             [
                 "regress", str(workspace), "NVM",
                 "--targets", "golden,rtl",
-                "--jobs", "2", "--executor", "thread",
+                "--jobs", "2", "--executor", "process",
             ]
         )
         assert code == 0

@@ -92,6 +92,7 @@ class TestScenarioPack:
             {"name": ""},
             {"name": 7},
             {"executor": "rocket"},
+            {"executor": "thread"},
             {"jobs": 0},
             {"jobs": True},
             {"retries": -1},

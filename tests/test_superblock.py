@@ -8,8 +8,8 @@ The contract under test:
     self-loop is classified as an idle spin.
 (b) **Equivalence** — the superblock engine (fusion + chaining + idle
     fast-forward) retires byte-identical signature / cycles /
-    IRQ-delivery timing to the ``use_block_run=False`` per-step
-    reference across **all six platforms**, on timer-delay and
+    IRQ-delivery timing to the ``engine="reference"`` per-step
+    oracle across **all six platforms**, on timer-delay and
     busy-wait workloads whose wall-clock is dominated by fast-forwarded
     iterations.
 (c) **Observation** (ISSUE 5) — the superblock engine (fusion, chaining
@@ -17,9 +17,8 @@ The contract under test:
     bus traces and wait-state charging, replaying each block's
     precomputed observation templates in bulk; the retire trace and bus
     access stream are byte-identical to the per-step reference.  Only
-    the per-step loop itself (``use_block_run=False``), fault hooks and
-    per-access ``trace_hooks`` remain reference baselines where no warp
-    fires.
+    the reference engine itself, fault hooks and per-access
+    ``trace_hooks`` run per-instruction, where no warp fires.
 (d) **Exactness** — warps land retire counts and cycle counts exactly
     on instruction limits and block deadlines, so event-horizon
     scheduling (and therefore interrupt delivery) is unperturbed.
@@ -186,8 +185,8 @@ class TestDelayEquivalenceAcrossPlatforms:
     ):
         """The satellite property: fast-forwarded ``Base_Timer_Delay``
         (and pure busy-wait) runs retire byte-identical signature,
-        cycles and IRQ-delivery timing vs the ``use_block_run=False``
-        reference on every platform.  ``TEST_TIMER_IRQ`` exercises
+        cycles and IRQ-delivery timing vs the ``engine="reference"``
+        oracle on every platform.  ``TEST_TIMER_IRQ`` exercises
         interrupt delivery; cycle equality pins its timing."""
         platform_cls = PLATFORM_CLASSES[platform_name]
         tgt = TARGETS_BY_NAME[platform_name]
@@ -198,7 +197,7 @@ class TestDelayEquivalenceAcrossPlatforms:
                     image
                 )
                 reference = ExecutionSession(
-                    platform_cls(), derivative, use_block_run=False
+                    platform_cls(), derivative, engine="reference"
                 ).run(image)
                 assert strip(fast) == strip(reference), (
                     platform_name,
@@ -251,7 +250,7 @@ class TestIrqDeliveryDuringFastForward:
         results = {}
         for label, kw in (
             ("fast", {}),
-            ("reference", {"use_block_run": False}),
+            ("reference", {"engine": "reference"}),
         ):
             session = ExecutionSession(GoldenModel(), SC88A, **kw)
             results[label] = session.run(image)
@@ -274,11 +273,17 @@ spin:
 """
 
 
-def direct_cpu(image, *, trace: bool = False) -> tuple[CpuCore, SystemOnChip]:
+def direct_cpu(
+    image, *, trace: bool = False, reference: bool = False
+) -> tuple[CpuCore, SystemOnChip]:
+    """A bare core on *image*: with the decode cache attached (the fast
+    engine's superblock loop), or without it (*reference*: per-step bus
+    fetch and the ``_execute`` chain)."""
     soc = SystemOnChip(SC88A)
     soc.load_image(image)
     cpu = CpuCore(soc.bus, intc=soc.intc)
-    cpu.decode_cache = cache_for(image)
+    if not reference:
+        cpu.decode_cache = cache_for(image)
     cpu.reset(image.entry, MEMORY_MAP.stack_top)
     if trace:
         cpu.enable_trace()
@@ -298,8 +303,7 @@ class TestObservedFastPath:
         # Every retire is in the trace — the warped iterations were
         # synthesized, not skipped.
         assert len(cpu.trace) == cpu.instructions_retired
-        reference, _ = direct_cpu(image, trace=True)
-        reference.use_superblocks = False
+        reference, _ = direct_cpu(image, trace=True, reference=True)
         reference.run()
         assert reference.ff_warps == 0
         assert cpu.trace.raw() == reference.trace.raw()
@@ -310,7 +314,7 @@ class TestObservedFastPath:
 
     def test_no_warps_in_per_step_reference_session(self):
         image = link_source(SPIN_ONLY_SOURCE)
-        session = ExecutionSession(GoldenModel(), SC88A, use_block_run=False)
+        session = ExecutionSession(GoldenModel(), SC88A, engine="reference")
         result = session.run(image)
         assert result.signature == PASS_MAGIC
         assert session.cpu.ff_warps == 0
@@ -335,26 +339,6 @@ class TestObservedFastPath:
         assert cpu.ff_warps > 0
         # LOAD + 5000 DJNZ retires + LOAD + HALT
         assert cpu.instructions_retired == 1 + 5000 + 2
-
-    def test_ablation_flags(self):
-        image = link_source(SPIN_ONLY_SOURCE)
-        outcomes = []
-        for superblocks, fast_forward in (
-            (True, True), (True, False), (False, True), (False, False),
-        ):
-            cpu, _ = direct_cpu(image)
-            cpu.use_superblocks = superblocks
-            cpu.use_fast_forward = fast_forward
-            cpu.run()
-            outcomes.append(
-                (cpu.instructions_retired, cpu.cycles, cpu.regs.data[0])
-            )
-            expected_warps = superblocks and fast_forward
-            assert (cpu.ff_warps > 0) == expected_warps, (
-                superblocks,
-                fast_forward,
-            )
-        assert len(set(outcomes)) == 1  # all four configs byte-identical
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +367,7 @@ class TestWarpExactness:
         # Stops at the first retire boundary at/after the budget,
         # exactly like per-instruction stepping.
         assert 501 <= consumed <= 502
-        reference_cpu, _ = direct_cpu(image)
-        reference_cpu.use_superblocks = False
+        reference_cpu, _ = direct_cpu(image, reference=True)
         reference_consumed = reference_cpu.run(cycle_budget=501)
         assert consumed == reference_consumed
         assert cpu.instructions_retired == reference_cpu.instructions_retired
@@ -401,8 +384,7 @@ spin:
         image = link_source(source)
         fast_cpu, _ = direct_cpu(image)
         fast_cpu.run(instruction_limit=10_000)
-        slow_cpu, _ = direct_cpu(image)
-        slow_cpu.use_superblocks = False
+        slow_cpu, _ = direct_cpu(image, reference=True)
         slow_cpu.run(instruction_limit=10_000)
         assert fast_cpu.instructions_retired == 10_000
         assert (fast_cpu.cycles, fast_cpu.regs.data[1]) == (
@@ -501,7 +483,7 @@ class TestObservedMatrixAcrossPlatforms:
                 ref_platform = platform_cls()
                 ref_platform.record_bus_trace = True
                 reference = ExecutionSession(
-                    ref_platform, derivative, use_block_run=False
+                    ref_platform, derivative, engine="reference"
                 ).run(image)
                 assert strip(fast) == strip(reference), (
                     platform_name,
@@ -527,7 +509,7 @@ class TestObservedMatrixAcrossPlatforms:
         fast_session = ExecutionSession(RtlSim(), SC88A)
         fast = fast_session.run(image)
         reference = ExecutionSession(
-            RtlSim(), SC88A, use_block_run=False
+            RtlSim(), SC88A, engine="reference"
         ).run(image)
         assert strip(fast) == strip(reference)
         assert fast.signature == PASS_MAGIC
@@ -564,7 +546,7 @@ class TestObservedMatrixAcrossPlatforms:
         ref_platform = GoldenModel()
         ref_platform.record_bus_trace = True
         reference = ExecutionSession(
-            ref_platform, SC88A, use_block_run=False
+            ref_platform, SC88A, engine="reference"
         ).run(image)
         assert strip(fast) == strip(reference)
         assert stripped_bus_trace(fast_platform) == (
