@@ -417,9 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         help=(
-            "persistent artifact store root; warmed decode/superblock/"
-            "JIT state is saved there and fresh processes warm-start "
-            "from it instead of re-predecoding"
+            "persistent artifact store root; linked test images (keyed "
+            "by cell, target build signature, module source "
+            "fingerprint, derivative, ES version, memory-map bases and "
+            "a digest of the tool's own code) and warmed decode/"
+            "superblock/JIT state are saved there, and fresh processes "
+            "start from them instead of re-assembling and re-predecoding"
         ),
     )
     p_regress.add_argument(

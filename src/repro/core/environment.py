@@ -37,6 +37,7 @@ from repro.core.globals_layer import (
 )
 from repro.core.targets import Target, all_targets, target as lookup_target
 from repro.core.testplan import TestPlan
+from repro.isa.decodecache import artifact_store
 from repro.platforms.base import RunResult
 from repro.soc.derivatives import Derivative, all_derivatives
 from repro.soc.embedded import assemble_embedded_software, es_source
@@ -64,14 +65,37 @@ class TestCell:
         return f"{self.name}.asm"
 
 
-@dataclass
 class BuildArtifacts:
-    """Everything produced while building one test cell."""
+    """Everything produced while building one test cell.
 
-    image: MemoryImage
-    test_object: ObjectFile
-    base_functions_object: ObjectFile
-    global_objects: list[ObjectFile]
+    *objects* is the ``(test, base functions, global layer)`` object
+    triple, or a zero-argument callable producing it: an image read
+    back from the artifact store arrives without its object files, and
+    they are assembled on first access.
+    """
+
+    def __init__(self, image: MemoryImage, objects):
+        self.image = image
+        self._objects = objects
+
+    def _object_files(
+        self,
+    ) -> tuple[ObjectFile, ObjectFile, list[ObjectFile]]:
+        if callable(self._objects):
+            self._objects = self._objects()
+        return self._objects
+
+    @property
+    def test_object(self) -> ObjectFile:
+        return self._object_files()[0]
+
+    @property
+    def base_functions_object(self) -> ObjectFile:
+        return self._object_files()[1]
+
+    @property
+    def global_objects(self) -> list[ObjectFile]:
+        return self._object_files()[2]
 
 
 class GlobalLayer:
@@ -323,26 +347,78 @@ class ModuleTestEnvironment:
     ) -> BuildArtifacts:
         """Assemble + link one test cell for (derivative, target).
 
-        Builds are memoised two ways: whole images by (cell, derivative,
-        target signature, source fingerprint), and the shared-layer
-        object files (base functions, trap handlers, global functions,
-        embedded software) by the same key minus the cell — so a
-        regression sweeping many cells and targets assembles each layer
-        once per distinct build input, not once per matrix entry.
-        Editing any source or define changes the fingerprint and
-        invalidates both caches.  ``use_cache=False`` forces a cold
-        build (ablation baselines).
+        Builds are memoised three ways: whole images in process by
+        (cell, derivative, target signature, source fingerprint); the
+        shared-layer object files (base functions, trap handlers, global
+        functions, embedded software) by the same key minus the cell —
+        so a regression sweeping many cells and targets assembles each
+        layer once per distinct build input, not once per matrix entry;
+        and, when an artifact store is installed
+        (:func:`~repro.isa.decodecache.set_artifact_store`), linked
+        images on disk, so a fresh process skips the assembler.  Lookup
+        order: in-process cache, store, assemble + link (then save).  A
+        store hit carries no object files; they are assembled on first
+        access.  Editing any source or define changes the fingerprint
+        and invalidates every layer.  ``use_cache=False`` forces a cold
+        build and bypasses the store too (ablation baselines).
         """
         cell = self.cell(cell_name)
         files = self._source_files()
         fingerprint = self._files_fingerprint(files)
         signature = self.build_signature(tgt, files=files)
         image_key = (cell_name, derivative.name, signature, fingerprint)
-        if use_cache:
-            cached = self._image_cache.get(image_key)
-            if cached is not None:
-                return cached
+        if not use_cache:
+            return self._link(
+                self._assemble_objects(
+                    cell, files, fingerprint, signature, derivative, tgt,
+                    use_cache=False,
+                ),
+                derivative,
+            )
+        cached = self._image_cache.get(image_key)
+        if cached is not None:
+            return cached
 
+        def objects():
+            return self._assemble_objects(
+                cell, files, fingerprint, signature, derivative, tgt
+            )
+
+        store = artifact_store()
+        if store is None:
+            artifacts = self._link(objects(), derivative)
+        else:
+            memory_map = derivative.memory_map()
+            store_key = (
+                cell_name,
+                repr(signature),
+                fingerprint,
+                derivative.name,
+                derivative.es_version,
+                memory_map.text_base,
+                memory_map.data_base,
+            )
+            image = store.load_image(store_key)
+            if image is not None:
+                artifacts = BuildArtifacts(image, objects)
+            else:
+                artifacts = self._link(objects(), derivative)
+                store.save_image(store_key, artifacts.image)
+        self._image_cache[image_key] = artifacts
+        return artifacts
+
+    def _assemble_objects(
+        self,
+        cell: TestCell,
+        files: dict[str, str],
+        fingerprint: str,
+        signature: tuple,
+        derivative: Derivative,
+        tgt: Target,
+        use_cache: bool = True,
+    ) -> tuple[ObjectFile, ObjectFile, list[ObjectFile]]:
+        """The (test, base functions, global layer) objects of one
+        build, from the shared-layer object cache where possible."""
         assembler = Assembler(
             provider=InMemoryProvider(files),
             predefines=self._predefines(derivative, tgt),
@@ -388,6 +464,11 @@ class ModuleTestEnvironment:
             ],
             lambda: self.global_layer.assemble(assembler, derivative),
         )
+        return test_object, base_functions_object, global_objects
+
+    @staticmethod
+    def _link(objects, derivative: Derivative) -> BuildArtifacts:
+        test_object, base_functions_object, global_objects = objects
         memory_map = derivative.memory_map()
         linker = Linker(
             text_base=memory_map.text_base, data_base=memory_map.data_base
@@ -395,15 +476,7 @@ class ModuleTestEnvironment:
         image = linker.link(
             [test_object, base_functions_object] + global_objects
         )
-        artifacts = BuildArtifacts(
-            image=image,
-            test_object=test_object,
-            base_functions_object=base_functions_object,
-            global_objects=global_objects,
-        )
-        if use_cache:
-            self._image_cache[image_key] = artifacts
-        return artifacts
+        return BuildArtifacts(image, objects)
 
     # -- running -------------------------------------------------------------
     def run_test(

@@ -1459,8 +1459,10 @@ _REGISTRY_EVICTIONS = 0
 #: ``save_decode_cache(key, cache) -> bool``, both non-raising) that
 #: :func:`decode_cache_for` consults on a registry miss, so a fresh
 #: process warm-starts from disk instead of re-paying predecode and
-#: superblock formation.  Installed by the CLI/daemon via
-#: :func:`set_artifact_store`; ``None`` keeps the registry pure-memory.
+#: superblock formation.  ``ModuleTestEnvironment.build_image`` uses
+#: its ``load_image`` / ``save_image`` pair the same way for linked
+#: images.  Installed by the CLI/daemon via :func:`set_artifact_store`;
+#: ``None`` keeps the registry and builds pure-memory.
 _ARTIFACT_STORE = None
 
 

@@ -7,12 +7,14 @@ can only be sharded inside one machine.  This package extends the
 repo's two proven durability idioms downward and outward:
 
 - :mod:`repro.store.artifacts` — a content-addressed on-disk store of
+  linked test images (keyed by every build input) and
   :class:`~repro.isa.decodecache.DecodeCache` snapshots (predecode +
-  superblock formation + JIT-chain metadata), keyed by image digest,
-  region bounds and wait-state profile, in the schema-checksummed
-  envelope style of :class:`~repro.core.scheduler.ResultCache`.  A
-  fresh process (or a rebooted :class:`ServiceDaemon` pool) warm-starts
-  from disk instead of re-paying predecode and formation;
+  superblock formation + JIT-chain metadata, keyed by image digest,
+  region bounds and wait-state profile), in the schema-checksummed
+  envelope style of :class:`~repro.core.scheduler.ResultCache`; every
+  key also carries a digest of the package's own code.  A fresh
+  process (or a rebooted :class:`ServiceDaemon` pool) warm-starts from
+  disk instead of re-paying assembly, predecode and formation;
 - :mod:`repro.store.worklist` — a shared-directory work-list for
   fleet-sharded :class:`~repro.core.scheduler.RegressionScheduler`
   runs: lease-based cell claims (``O_EXCL`` claim files, heartbeat

@@ -1,25 +1,40 @@
-"""Content-addressed on-disk store of compiled execution artifacts.
+"""Content-addressed on-disk store of build and execution artifacts.
 
-The expensive half of a cold start is deterministic: predecode,
-superblock formation and the shape of the compiled JIT chains are pure
-functions of the image bytes, the cached region bounds and the fetch
-wait-state profile — exactly the tuple the decode-cache registry is
-keyed on.  This module persists that derived state so the *next*
-process skips the derivation:
+The expensive half of a cold start is deterministic.  Two kinds of
+derived state are pure functions of their inputs, and this module
+persists both so the *next* process skips the derivation:
 
-- **content-addressed** — one file per registry key, named by the
-  SHA-256 of the key tuple, so distinct images/regions/wait profiles
-  never collide and a shared store directory needs no index;
+- ``image`` — the linked :class:`~repro.assembler.linker.MemoryImage`
+  of one test cell, so a fresh ``advm regress`` skips preprocessing,
+  assembly and linking (see *Image entries* below);
+- ``decode`` — predecode, superblock formation and the shape of the
+  compiled JIT chains, pure functions of the image bytes, the cached
+  region bounds and the fetch wait-state profile — exactly the tuple
+  the decode-cache registry is keyed on.
+
+Both kinds share one code path and one set of guarantees:
+
+- **content-addressed** — one file per key, named
+  ``<kind>-<sha256>.art`` where the hash covers the key tuple and the
+  :func:`code_digest` of the running checkout, so distinct inputs never
+  collide and a shared store directory needs no index;
+- **stale code is a miss** — the code digest (SHA-256 of the ``repro``
+  package's ``.py`` sources) rides in both the file name and the
+  header.  The assembler, encodings, generators, decoder and executor
+  are all Python, so an entry written by any other checkout is never
+  looked up, and :meth:`ArtifactStore.warm_registry` skips it (counted
+  as a miss, left in place — it is not corruption);
 - **checksummed envelope** — a JSON header line carrying the schema,
-  the registry key and a SHA-256 over the pickled payload, verified on
-  *every* read.  Corrupt ≠ miss: a failed verification is counted in
-  :attr:`ArtifactStore.corrupt`, the file is renamed aside to a unique
-  ``*.corrupt`` name (forensic evidence, off the hot path) and the
-  caller re-derives from source — a corrupt artifact is never trusted;
+  kind, key, code digest and a SHA-256 over the canonical header fields
+  plus the payload, verified on *every* read.  Corrupt ≠ miss: a failed
+  verification is counted in :attr:`ArtifactStore.corrupt`, the file is
+  renamed aside to a unique ``*.corrupt`` name (forensic evidence, off
+  the hot path) and the caller re-derives from source — a corrupt
+  artifact is never trusted;
 - **atomic writes** — ``tempfile.mkstemp`` + ``os.replace``, the same
   idiom as :class:`~repro.core.scheduler.ResultCache`, so concurrent
   fleet workers sharing a store directory can never observe a torn
-  snapshot;
+  file;
 - **contained** — every operation degrades instead of raising: an
   unavailable store root disables the store (counted), a failed write
   is a cold next start, a failed read is a cold build.  The regression
@@ -27,8 +42,24 @@ process skips the derivation:
 - **bounded** — :meth:`ArtifactStore.prune` applies the familiar
   max-entries/max-age policy over artifacts and quarantined evidence.
 
-What a snapshot contains — and what it deliberately drops
----------------------------------------------------------
+Image entries
+-------------
+
+An image entry holds the linked image only — no object files and no
+pickle.  The payload is one JSON line (segment object/section names,
+bases and lengths, the symbol table, the entry point and the image's
+:meth:`~repro.assembler.linker.MemoryImage.digest`) followed by the
+concatenated segment bytes.  :func:`restore_image` recomputes the
+digest and rejects the entry unless it equals the recorded one.
+:meth:`~repro.core.environment.ModuleTestEnvironment.build_image` keys
+an entry by every build input: the cell name, the target's
+:meth:`~repro.core.environment.ModuleTestEnvironment.build_signature`,
+the module's source fingerprint, the derivative's name, ES version and
+memory-map text/data bases — plus the code digest the store adds to
+every key.
+
+What a decode snapshot contains — and what it deliberately drops
+----------------------------------------------------------------
 
 :func:`snapshot_decode_cache` pickles the cache's segments, decoded
 entries, non-cacheable ``skip`` set and formed superblocks (the pickle
@@ -67,15 +98,37 @@ import time
 import types
 from pathlib import Path
 
+from repro.assembler.linker import MemoryImage, PlacedSection
 from repro.core.faults import SITE_STORE_READ, SITE_STORE_WRITE
 from repro.isa import decodecache as _decodecache
 from repro.isa.decodecache import DecodeCache
 from repro.isa.jit import JIT_THRESHOLD, compile_chain
 
-#: Bump when the snapshot payload or envelope changes incompatibly.
-STORE_SCHEMA = 1
+#: Bump when a payload or the envelope changes incompatibly.
+STORE_SCHEMA = 2
 
 _KIND_DECODE = "decode"
+_KIND_IMAGE = "image"
+
+_CODE_DIGEST: str | None = None
+
+
+def code_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` sources (relative
+    path and bytes of each, in sorted order).  Computed on first use —
+    only a process with a store installed pays for it — and then
+    memoised for the life of the process."""
+    global _CODE_DIGEST
+    if _CODE_DIGEST is None:
+        package = Path(__file__).resolve().parent.parent
+        hasher = hashlib.sha256()
+        for path in sorted(package.rglob("*.py")):
+            hasher.update(path.relative_to(package).as_posix().encode())
+            hasher.update(b"\0")
+            hasher.update(path.read_bytes())
+            hasher.update(b"\0")
+        _CODE_DIGEST = hasher.hexdigest()
+    return _CODE_DIGEST
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +262,49 @@ def _cache_stamp(cache: DecodeCache) -> tuple[int, int, int]:
 
 
 # --------------------------------------------------------------------------
+# MemoryImage snapshot / restore
+# --------------------------------------------------------------------------
+
+def snapshot_image(image: MemoryImage) -> bytes:
+    """One JSON metadata line plus the concatenated segment bytes (see
+    the module docstring's *Image entries*)."""
+    meta = {
+        "digest": image.digest(),
+        "entry": image.entry,
+        "symbols": image.symbols,
+        "segments": [
+            [segment.object_name, segment.name, segment.base, len(segment.data)]
+            for segment in image.segments
+        ],
+    }
+    parts = [json.dumps(meta).encode(), b"\n"]
+    parts.extend(segment.data for segment in image.segments)
+    return b"".join(parts)
+
+
+def restore_image(payload: bytes) -> MemoryImage:
+    """Rebuild a :class:`MemoryImage` from :func:`snapshot_image`'s
+    payload; raises unless the bytes add up and the recomputed digest
+    equals the recorded one."""
+    meta_line, blob = payload.split(b"\n", 1)
+    meta = json.loads(meta_line)
+    segments = []
+    offset = 0
+    for object_name, name, base, length in meta["segments"]:
+        end = offset + length
+        segments.append(PlacedSection(object_name, name, base, blob[offset:end]))
+        offset = end
+    if offset != len(blob):
+        raise ValueError("image payload length mismatch")
+    image = MemoryImage(
+        segments=segments, symbols=meta["symbols"], entry=meta["entry"]
+    )
+    if image.digest() != meta["digest"]:
+        raise ValueError("image digest mismatch")
+    return image
+
+
+# --------------------------------------------------------------------------
 # shared quarantine idiom
 # --------------------------------------------------------------------------
 
@@ -240,6 +336,20 @@ def quarantine_aside(path: Path, directory: Path) -> bool:
 # the store
 # --------------------------------------------------------------------------
 
+#: :meth:`ArtifactStore._read_artifact`'s answer for an intact entry
+#: written by another checkout.
+_STALE = object()
+
+
+def _checksum(fields: dict, payload: bytes) -> str:
+    """SHA-256 over the canonical header *fields* and the payload, so a
+    damaged header is caught just like a damaged payload."""
+    hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+    hasher.update(b"\n")
+    hasher.update(payload)
+    return hasher.hexdigest()
+
+
 class ArtifactStore:
     """Content-addressed, checksummed, prunable artifact directory.
 
@@ -255,8 +365,12 @@ class ArtifactStore:
         #: the ``store-read``/``store-write`` chaos sites.
         self.injector = injector
         self.disabled = False
+        #: Hits and misses over both kinds; the ``image_*`` pair counts
+        #: the image kind's share.
         self.hits = 0
         self.misses = 0
+        self.image_hits = 0
+        self.image_misses = 0
         self.corrupt = 0
         #: Distinct corrupt files successfully renamed aside.
         self.quarantined = 0
@@ -266,8 +380,8 @@ class ArtifactStore:
         #: already current.
         self.unchanged = 0
         self.pruned = 0
-        #: file stem -> stamp of the snapshot known to be on disk.
-        self._stamps: dict[str, tuple] = {}
+        #: file stem -> stamp of the artifact known to be on disk.
+        self._stamps: dict[str, object] = {}
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
         except OSError:
@@ -280,40 +394,36 @@ class ArtifactStore:
         for part in key:
             hasher.update(str(part).encode())
             hasher.update(b"\0")
+        hasher.update(code_digest().encode())
         return f"{kind}-{hasher.hexdigest()}"
 
     def _path(self, stem: str) -> Path:
         return self.directory / f"{stem}.art"
 
-    # -- decode-cache artifacts --------------------------------------------
-    def save_decode_cache(self, key: tuple, cache: DecodeCache) -> bool:
-        """Persist one registry entry; returns whether a file was
-        written.  Empty caches (nothing derived yet) and caches whose
-        on-disk snapshot is already current are skipped."""
+    # -- the shared envelope -----------------------------------------------
+    def _save(self, kind: str, key: tuple, stamp, encode) -> bool:
+        """Write one artifact unless the file on disk already carries
+        *stamp*; *encode* produces the payload.  Returns whether a file
+        was written."""
         if self.disabled:
             return False
-        if not cache._entries and not cache._blocks:
-            return False
-        stem = self._stem(_KIND_DECODE, key)
-        stamp = _cache_stamp(cache)
+        stem = self._stem(kind, key)
         if self._stamps.get(stem) == stamp:
             self.unchanged += 1
             return False
         try:
-            payload = snapshot_decode_cache(cache)
+            payload = encode()
         except Exception:
             self.write_errors += 1
             return False
-        header = json.dumps(
-            {
-                "schema": STORE_SCHEMA,
-                "kind": _KIND_DECODE,
-                "key": list(key),
-                "checksum": hashlib.sha256(payload).hexdigest(),
-            },
-            sort_keys=True,
-        ).encode()
-        data = header + b"\n" + payload
+        fields = {
+            "schema": STORE_SCHEMA,
+            "kind": kind,
+            "key": list(key),
+            "code": code_digest(),
+        }
+        header = dict(fields, checksum=_checksum(fields, payload))
+        data = json.dumps(header, sort_keys=True).encode() + b"\n" + payload
         path = self._path(stem)
         try:
             if self.injector is not None:
@@ -340,10 +450,16 @@ class ArtifactStore:
         return True
 
     def _read_artifact(
-        self, path: Path, stem: str
-    ) -> tuple[dict, DecodeCache] | None:
-        """Read + verify + restore one artifact file; quarantines and
-        returns ``None`` on any failure (corrupt ≠ miss)."""
+        self, path: Path, stem: str, kind: str, restore, scan: bool = False
+    ):
+        """Read + verify + restore one artifact file.
+
+        Returns ``(header, value)``; ``None`` after counting and
+        quarantining any failure (corrupt ≠ miss); or, when *scan*
+        walks the directory, :data:`_STALE` for an intact file that
+        another checkout wrote.  A file whose name disagrees with its
+        header's key — or that a lookup found under this checkout's
+        code digest while its header names another — is corruption."""
         try:
             if self.injector is not None:
                 self.injector.fire(SITE_STORE_READ, stem)
@@ -352,60 +468,91 @@ class ArtifactStore:
                 raw = self.injector.mangle(SITE_STORE_READ, stem, raw)
             header_line, payload = raw.split(b"\n", 1)
             header = json.loads(header_line)
+            checksum = header.pop("checksum")
             if header["schema"] != STORE_SCHEMA:
                 raise ValueError("artifact schema mismatch")
-            if header["kind"] != _KIND_DECODE:
+            if header["kind"] != kind:
                 raise ValueError("artifact kind mismatch")
-            checksum = hashlib.sha256(payload).hexdigest()
-            if checksum != header["checksum"]:
+            if checksum != _checksum(header, payload):
                 raise ValueError("artifact checksum mismatch")
-            cache = restore_decode_cache(payload)
+            if header["code"] != code_digest():
+                if scan:
+                    return _STALE
+                raise ValueError("artifact code digest mismatch")
+            if self._stem(kind, header["key"]) != stem:
+                raise ValueError("artifact key mismatch")
+            value = restore(payload)
         except Exception:
             self.corrupt += 1
             if quarantine_aside(path, self.directory):
                 self.quarantined += 1
             return None
-        return header, cache
+        return header, value
+
+    def _load(self, kind: str, key: tuple, restore, stamp):
+        """The restored artifact for *key*, or ``None`` (miss or counted
+        corruption).  Never raises."""
+        if self.disabled:
+            return None
+        stem = self._stem(kind, key)
+        path = self._path(stem)
+        if not path.exists():
+            self.misses += 1
+            if kind == _KIND_IMAGE:
+                self.image_misses += 1
+            return None
+        loaded = self._read_artifact(path, stem, kind, restore)
+        if loaded is None:
+            return None
+        _header, value = loaded
+        self.hits += 1
+        if kind == _KIND_IMAGE:
+            self.image_hits += 1
+        self._stamps[stem] = stamp(value)
+        return value
+
+    # -- decode-cache artifacts --------------------------------------------
+    def save_decode_cache(self, key: tuple, cache: DecodeCache) -> bool:
+        """Persist one registry entry; returns whether a file was
+        written.  Empty caches (nothing derived yet) and caches whose
+        on-disk snapshot is already current are skipped."""
+        if not cache._entries and not cache._blocks:
+            return False
+        return self._save(
+            _KIND_DECODE,
+            key,
+            _cache_stamp(cache),
+            lambda: snapshot_decode_cache(cache),
+        )
 
     def load_decode_cache(self, key: tuple) -> DecodeCache | None:
         """The restored cache for *key*, or ``None`` (miss or counted
         corruption).  Never raises."""
-        if self.disabled:
-            return None
-        stem = self._stem(_KIND_DECODE, key)
-        path = self._path(stem)
-        if not path.exists():
-            self.misses += 1
-            return None
-        loaded = self._read_artifact(path, stem)
-        if loaded is None:
-            return None
-        header, cache = loaded
-        if tuple(header.get("key", ())) != tuple(key):
-            # A content-addressed name that disagrees with its own
-            # header is corruption by definition.
-            self.corrupt += 1
-            if quarantine_aside(path, self.directory):
-                self.quarantined += 1
-            return None
-        self.hits += 1
-        self._stamps[stem] = _cache_stamp(cache)
-        return cache
+        return self._load(
+            _KIND_DECODE, key, restore_decode_cache, _cache_stamp
+        )
 
     def warm_registry(self) -> int:
-        """Install every readable decode snapshot into the process-wide
-        registry (boot-time rehydration for a restarted daemon pool);
-        returns how many caches are now registered from the store."""
+        """Install every readable decode snapshot written by this
+        checkout into the process-wide registry (boot-time rehydration
+        for a restarted daemon pool); returns how many caches are now
+        registered from the store.  Snapshots from other checkouts are
+        counted as misses and left in place."""
         if self.disabled:
             return 0
         installed = 0
         for path in sorted(self.directory.glob(f"{_KIND_DECODE}-*.art")):
             stem = path.name.removesuffix(".art")
-            loaded = self._read_artifact(path, stem)
+            loaded = self._read_artifact(
+                path, stem, _KIND_DECODE, restore_decode_cache, scan=True
+            )
             if loaded is None:
                 continue
+            if loaded is _STALE:
+                self.misses += 1
+                continue
             header, cache = loaded
-            key = tuple(header.get("key", ()))
+            key = tuple(header["key"])
             if len(key) != 4:
                 self.corrupt += 1
                 if quarantine_aside(path, self.directory):
@@ -416,6 +563,22 @@ class ArtifactStore:
             self.hits += 1
             installed += 1
         return installed
+
+    # -- linked-image artifacts --------------------------------------------
+    def save_image(self, key: tuple, image: MemoryImage) -> bool:
+        """Persist one linked image; returns whether a file was written.
+        *key* is a flat tuple of strings and ints (see the module
+        docstring); an image already on disk under it is skipped."""
+        return self._save(
+            _KIND_IMAGE, key, image.digest(), lambda: snapshot_image(image)
+        )
+
+    def load_image(self, key: tuple) -> MemoryImage | None:
+        """The stored image for *key*, or ``None`` (miss or counted
+        corruption).  Never raises."""
+        return self._load(
+            _KIND_IMAGE, key, restore_image, MemoryImage.digest
+        )
 
     # -- maintenance -------------------------------------------------------
     def prune(
@@ -467,6 +630,8 @@ class ArtifactStore:
             "disabled": int(self.disabled),
             "hits": self.hits,
             "misses": self.misses,
+            "image_hits": self.image_hits,
+            "image_misses": self.image_misses,
             "corrupt": self.corrupt,
             "quarantined": self.quarantined,
             "write_errors": self.write_errors,

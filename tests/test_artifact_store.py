@@ -36,7 +36,7 @@ from repro.isa.decodecache import (
     set_artifact_store,
 )
 from repro.soc.derivatives import derivative as lookup_derivative
-from repro.store import ArtifactStore, restore_decode_cache, snapshot_decode_cache
+from repro.store import ArtifactStore, artifacts, restore_decode_cache, snapshot_decode_cache
 
 
 @pytest.fixture(scope="module")
@@ -147,9 +147,6 @@ class TestCorruption:
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
 
-    def corrupt_one(self, tmp_path) -> None:
-        self.corrupt_file(next(tmp_path.glob("decode-*.art")))
-
     def test_corrupt_artifact_is_quarantined_and_rederived(
         self, tmp_path, matrix
     ):
@@ -192,7 +189,7 @@ class TestCorruption:
             assert store.save_decode_cache(
                 key, decodecache._REGISTRY[key]
             )
-            self.corrupt_one(tmp_path)
+            self.corrupt_file(store._path(store._stem("decode", key)))
             assert store.load_decode_cache(key) is None
         assert store.corrupt == 3
         assert store.quarantined == 3
@@ -346,3 +343,158 @@ class TestRegistry:
             "registry_size": 0,
             "registry_evictions": 0,
         }
+
+
+# --------------------------------------------------------------------------
+# code digest: an entry from another checkout is a miss, not corruption
+# --------------------------------------------------------------------------
+
+class TestCodeDigest:
+    def test_other_checkout_decode_snapshot_is_a_miss(
+        self, tmp_path, matrix, monkeypatch
+    ):
+        reset_registry()
+        warm_and_persist(matrix, ArtifactStore(tmp_path))
+        key = next(iter(decodecache._REGISTRY))
+        files = sorted(tmp_path.glob("decode-*.art"))
+        assert files
+
+        monkeypatch.setattr(artifacts, "code_digest", lambda: "f" * 64)
+        reset_registry()
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.load_decode_cache(key) is None
+        assert fresh.warm_registry() == 0
+        assert not decodecache._REGISTRY
+        assert fresh.misses == 1 + len(files)
+        assert (fresh.hits, fresh.corrupt, fresh.quarantined) == (0, 0, 0)
+        assert sorted(tmp_path.glob("decode-*.art")) == files
+        assert not list(tmp_path.glob("*.corrupt"))
+
+    def test_code_digest_is_memoised(self):
+        digest = artifacts.code_digest()
+        assert len(digest) == 64
+        assert artifacts.code_digest() is digest
+
+
+# --------------------------------------------------------------------------
+# byte-level robustness of the reader, both kinds
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def artifact_files(tmp_path_factory, matrix):
+    """One valid artifact file per kind: ``kind -> (name, bytes)``."""
+    directory = tmp_path_factory.mktemp("one-of-each")
+    environments, derivative, targets = matrix
+    reset_registry()
+    store = ArtifactStore(directory)
+    set_artifact_store(store)
+    try:
+        RegressionScheduler(targets=targets, executor="serial").run_system(
+            environments, derivative
+        )
+        image = environments["NVM"].build_image(
+            next(iter(environments["NVM"].cells)), derivative, targets[0]
+        ).image
+        assert store.save_image(("probe", 1), image)
+    finally:
+        set_artifact_store(None)
+    return {
+        kind: (path.name, path.read_bytes())
+        for kind in ("decode", "image")
+        for path in sorted(directory.glob(f"{kind}-*.art"))[:1]
+    }
+
+
+def _flip(position, bit: int = 0):
+    def damage(data: bytes, header: int) -> bytes:
+        out = bytearray(data)
+        out[position(len(data), header)] ^= 1 << bit
+        return bytes(out)
+
+    return damage
+
+
+def _truncate(where):
+    return lambda data, header: data[: where(len(data), header)]
+
+
+#: name -> damage(data, header length) over one valid artifact file.
+DAMAGE = {
+    "truncate-empty": _truncate(lambda size, header: 0),
+    "truncate-1": _truncate(lambda size, header: 1),
+    "truncate-mid-header": _truncate(lambda size, header: header // 2),
+    "truncate-at-newline": _truncate(lambda size, header: header),
+    "truncate-no-payload": _truncate(lambda size, header: header + 1),
+    "truncate-mid-payload": _truncate(lambda size, header: (header + size) // 2),
+    "truncate-last-byte": _truncate(lambda size, header: size - 1),
+    "flip-header-first": _flip(lambda size, header: 0),
+    "flip-header-mid": _flip(lambda size, header: header // 2, 1),
+    "flip-header-last-high-bit": _flip(lambda size, header: header - 1, 7),
+    "flip-newline": _flip(lambda size, header: header, 2),
+    "flip-payload-first": _flip(lambda size, header: header + 1),
+    "flip-payload-mid": _flip(lambda size, header: (header + size) // 2, 3),
+    "flip-payload-last": _flip(lambda size, header: size - 1, 7),
+    "zero-fill": lambda data, header: bytes(len(data)),
+    "zero-fill-payload": lambda data, header: (
+        data[: header + 1] + bytes(len(data) - header - 1)
+    ),
+}
+
+
+#: reader -> (artifact kind it reads, call returning what it accepted
+#: or ``None``).  ``decode-scan`` is the boot-time directory walk.
+READERS = {
+    "decode": ("decode", lambda store, key: store.load_decode_cache(key)),
+    "image": ("image", lambda store, key: store.load_image(key)),
+    "decode-scan": ("decode", lambda store, key: store.warm_registry() or None),
+}
+
+
+def _assert_rejected(directory, name: str, reader: str, data: bytes, key):
+    (directory / name).write_bytes(data)
+    store = ArtifactStore(directory)
+    assert READERS[reader][1](store, key) is None
+    assert (store.corrupt, store.quarantined, store.hits) == (1, 1, 0)
+    assert not (directory / name).exists()
+    assert len(list(directory.glob("*.corrupt"))) == 1
+    for evidence in directory.glob("*.corrupt"):
+        evidence.unlink()
+
+
+class TestByteRobustness:
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_intact_file_loads(self, tmp_path, artifact_files, reader):
+        kind, read = READERS[reader]
+        name, data = artifact_files[kind]
+        (tmp_path / name).write_bytes(data)
+        store = ArtifactStore(tmp_path)
+        key = tuple(json.loads(data.split(b"\n", 1)[0])["key"])
+        reset_registry()
+        assert read(store, key) is not None
+        assert (store.hits, store.corrupt) == (1, 0)
+        reset_registry()
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_damage_is_counted_quarantined_never_trusted(
+        self, tmp_path, artifact_files, reader, damage
+    ):
+        name, data = artifact_files[READERS[reader][0]]
+        header = data.index(b"\n")
+        key = tuple(json.loads(data[:header])["key"])
+        damaged = DAMAGE[damage](data, header)
+        assert damaged != data
+        _assert_rejected(tmp_path, name, reader, damaged, key)
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_every_header_bit_flip_is_corruption(
+        self, tmp_path, artifact_files, reader
+    ):
+        name, data = artifact_files[READERS[reader][0]]
+        header = data.index(b"\n")
+        key = tuple(json.loads(data[:header])["key"])
+        for offset in range(header):
+            for bit in range(8):
+                damaged = bytearray(data)
+                damaged[offset] ^= 1 << bit
+                _assert_rejected(tmp_path, name, reader, bytes(damaged), key)
