@@ -393,6 +393,10 @@ class ResultCache:
             if self.injector is not None:
                 raw = self.injector.mangle(SITE_CACHE_READ, key, raw)
             body = json.loads(raw)
+            # The checksum covers only the payload; an envelope that
+            # does not name this schema was not written by ``put``.
+            if body["schema"] != CACHE_SCHEMA:
+                raise ValueError("cache entry schema mismatch")
             payload_text = body["payload"]
             checksum = hashlib.sha256(payload_text.encode()).hexdigest()
             if checksum != body["checksum"]:

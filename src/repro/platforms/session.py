@@ -11,7 +11,11 @@ phases a lab bench actually has — *reset*, *run*, *observe* — over one
 long-lived device:
 
 - ``reset``: :meth:`SystemOnChip.full_reset` restores the
-  just-constructed state (peripherals, RAM, ROM, NVM) between images;
+  just-constructed state (peripherals, RAM, ROM, NVM) between images.
+  It costs what the previous run touched: RAM is refilled whole, ROM
+  and the NVM array only over the extents loaded since the last reset
+  (:meth:`Memory.clear`), and the bus's page dispatch table is restored
+  from the index built at attach time, not rebuilt page by page;
 - ``run``: load an image, attach the shared predecode cache for its ROM,
   and execute to HALT/timeout/fault exactly as ``Platform.run`` did;
 - ``observe``: the platform's ``judge``/``collect`` hooks derive the

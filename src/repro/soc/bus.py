@@ -263,11 +263,26 @@ class BusTrace:
 
 
 class Memory:
-    """Plain byte-addressable memory device (RAM, ROM, NVM array)."""
+    """Plain byte-addressable memory device (RAM, ROM, NVM array).
+
+    A read-only memory changes only through :meth:`load`: the bus gives
+    it no write buffer and :meth:`write` raises, and the NVM controller
+    and lane-state restores program the array through ``load`` too.  So
+    ``load`` records each byte extent it wrote since the last
+    :meth:`clear`, and ``clear`` refills just those extents — a reset
+    costs what the previous run loaded (a few image segments, the
+    programmed NVM pages), not the 512 KiB ROM.  A writable memory is
+    written in place through the bus's word buffer, which no extent
+    can follow, so ``clear`` refills all of it.
+    """
 
     def __init__(self, size: int, read_only: bool = False, fill: int = 0x00):
         self.data: bytearray = bytearray([fill]) * size
         self.read_only = read_only
+        self.fill = fill
+        #: ``(start, end)`` offsets :meth:`load` wrote since the last
+        #: :meth:`clear` (a set, so a page programmed twice counts once).
+        self._loaded: set[tuple[int, int]] = set()
 
     def read(self, offset: int, size: int) -> int:
         return int.from_bytes(self.data[offset : offset + size], "little")
@@ -281,7 +296,21 @@ class Memory:
 
     def load(self, offset: int, payload: bytes) -> None:
         """Backdoor load (image loading bypasses read-only protection)."""
-        self.data[offset : offset + len(payload)] = payload
+        end = offset + len(payload)
+        self.data[offset:end] = payload
+        if end > offset:
+            self._loaded.add((offset, end))
+
+    def clear(self) -> None:
+        """Refill with the construction-time fill byte, in place (the
+        bus's word buffers are references to :attr:`data`)."""
+        fill = bytes([self.fill])
+        if self.read_only:
+            for start, end in self._loaded:
+                self.data[start:end] = fill * (end - start)
+        else:
+            self.data[:] = fill * len(self.data)
+        self._loaded = set()
 
 
 class Bus:
@@ -295,6 +324,9 @@ class Bus:
         self.access_count = 0
         self._bases: list[int] = []
         self.page_table: dict[int, Mapping] = {}
+        #: The page table as :meth:`attach` built it; only ``attach``
+        #: changes it, so :meth:`rebuild_dispatch` restores from here.
+        self._page_index: dict[int, Mapping] = {}
 
     def attach(
         self,
@@ -321,24 +353,30 @@ class Bus:
             )
         self.mappings.insert(index, mapping)
         self._bases.insert(index, mapping.base)
-        self._index_mapping(mapping)
+        # Add the fully covered pages to the index and the live table.
+        first = (mapping.base + PAGE_SIZE - 1) >> PAGE_SHIFT
+        pages = dict.fromkeys(range(first, mapping.end >> PAGE_SHIFT), mapping)
+        self._page_index.update(pages)
+        self.page_table.update(pages)
         return mapping
 
-    def _index_mapping(self, mapping: Mapping) -> None:
-        """Add *mapping*'s fully covered pages to the dispatch table."""
-        first = (mapping.base + PAGE_SIZE - 1) >> PAGE_SHIFT
-        last = mapping.end >> PAGE_SHIFT
-        table = self.page_table
-        for page in range(first, last):
-            table[page] = mapping
-
     def rebuild_dispatch(self) -> None:
-        """Recompute the page dispatch table from the mapping list
-        (device full reset; mappings whose buffers were swapped)."""
-        self.page_table.clear()
+        """Refresh every mapping's routing state and restore the page
+        dispatch table (device full reset; mappings whose device was
+        swapped in place).
+
+        Each mapping re-runs ``__post_init__``, so a swapped-in device
+        drops or regains the direct word buffers.  The page → mapping
+        entries depend only on the mapping list, which only
+        :meth:`attach` changes, and a device swap mutates the
+        :class:`Mapping` object they point at; so the table is restored
+        from the index ``attach`` built in one C-level update, keeping
+        the same dict object, instead of re-walking every page."""
         for mapping in self.mappings:
             mapping.__post_init__()  # refresh end + word buffers
-            self._index_mapping(mapping)
+        table = self.page_table
+        table.clear()
+        table.update(self._page_index)
 
     def mapping_for(self, address: int, length: int) -> Mapping:
         """The mapping containing ``[address, address+length)``.

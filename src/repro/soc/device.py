@@ -9,6 +9,7 @@ output).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.assembler.linker import MemoryImage
@@ -59,12 +60,17 @@ class SfrPort:
 
     When no core is bound (legacy per-tick driving, direct SoC use)
     both hooks are no-ops and the port is a transparent pass-through.
+
+    The port holds its SoC weakly: the SoC's bus holds the port, and a
+    strong back-reference would make every SoC a reference cycle that
+    only the cyclic garbage collector frees — a finished session's
+    ~600 KB device would outlive it until the next gen-2 collection.
     """
 
     __slots__ = ("soc", "peripheral")
 
     def __init__(self, soc: "SystemOnChip", peripheral):
-        self.soc = soc
+        self.soc = weakref.proxy(soc)
         self.peripheral = peripheral
 
     def read(self, offset: int, size: int) -> int:
@@ -170,7 +176,7 @@ class SystemOnChip:
             self.wdt,
         ):
             peripheral.reset()
-        self.ram.load(0, bytes(self.memory_map.ram.size))
+        self.ram.clear()
 
     def full_reset(self) -> None:
         """Return the device to its just-constructed state.
@@ -180,10 +186,18 @@ class SystemOnChip:
         can host many independent runs — an
         :class:`~repro.platforms.session.ExecutionSession` calls this
         between images instead of rebuilding the whole device.
+
+        The cost follows the previous run's footprint: RAM (64 KiB,
+        CPU-writable) is refilled whole, but ROM and the NVM array are
+        read-only and change only through :meth:`Memory.load`, so
+        :meth:`Memory.clear` refills just the extents loaded since the
+        last reset.  The page dispatch table is restored from the index
+        the bus built at attach time rather than rebuilt page by page
+        (:meth:`Bus.rebuild_dispatch`).
         """
         self.reset()
-        self.rom.load(0, bytes(self.memory_map.rom.size))
-        self.nvm.array.load(0, bytes(len(self.nvm.array.data)))
+        self.rom.clear()
+        self.nvm.array.clear()
         self.bus.access_count = 0
         self.bus.rebuild_dispatch()
         self._cpu = None

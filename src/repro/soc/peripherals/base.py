@@ -6,6 +6,17 @@ access semantics (read-only registers ignore writes, write-1-to-clear
 status registers clear on write).  Subclasses hook :meth:`on_write` /
 :meth:`on_read` for side effects and :meth:`tick` for time-based
 behaviour, and raise their interrupt line via :attr:`irq`.
+
+The layout is compiled once, at construction, into lookup tables:
+``(register, field) -> (pos, mask)`` integer constants for
+:meth:`Peripheral.field_value` / :meth:`Peripheral.set_field` (called
+tens of thousands of times per regression pass from ``tick`` and
+``event_horizon``), ``offset -> RegisterDef`` for SFR
+:meth:`Peripheral.read` / :meth:`Peripheral.write`, and the reset
+values :meth:`Peripheral.reset` copies.  A lookup is one dict probe,
+where the layout's own ``register_named`` / ``field_named`` /
+``register_at`` queries scan.  The tables are derived from the shared,
+immutable layout, so lane snapshots leave them out.
 """
 
 from __future__ import annotations
@@ -20,13 +31,24 @@ class Peripheral:
     def __init__(self, layout: PeripheralLayout, name: str | None = None):
         self.layout = layout
         self.name = name or layout.name
+        self._field_table: dict[tuple[str, str], tuple[int, int]] = {
+            (reg.name, fld.name): (fld.pos, fld.mask)
+            for reg in layout.registers
+            for fld in reg.fields
+        }
+        self._register_table: dict[int, RegisterDef] = {
+            reg.offset: reg for reg in layout.registers
+        }
+        self._reset_values: dict[str, int] = {
+            reg.name: reg.reset for reg in layout.registers
+        }
         self.values: dict[str, int] = {}
         self.irq = False
         self.reset()
 
     # -- lifecycle -----------------------------------------------------------
     def reset(self) -> None:
-        self.values = {r.name: r.reset for r in self.layout.registers}
+        self.values = self._reset_values.copy()
         self.irq = False
 
     # -- lane state (batched lock-step engine) ------------------------------
@@ -34,11 +56,17 @@ class Peripheral:
     # A surgical lane fork clones the leader device mid-run; peripheral
     # state is value-like throughout the tree (ints, strings, byte
     # buffers, flat containers of those), so a generic deep copy of the
-    # instance dict captures it.  Excluded: the shared immutable layout,
-    # and any attribute that is a bus-attached device (the NVM
-    # controller's array Memory stays identity-bound to its bus mapping;
-    # the SoC snapshots its bytes separately).
-    _LANE_STATE_SKIP = ("layout",)
+    # instance dict captures it.  Excluded: the shared immutable layout
+    # and the lookup tables compiled from it, and any attribute that is
+    # a bus-attached device (the NVM controller's array Memory stays
+    # identity-bound to its bus mapping; the SoC snapshots its bytes
+    # separately).
+    _LANE_STATE_SKIP = (
+        "layout",
+        "_field_table",
+        "_register_table",
+        "_reset_values",
+    )
 
     def lane_state(self) -> dict:
         """Deep-copied mutable state for a lane fork."""
@@ -69,7 +97,7 @@ class Peripheral:
             raise BusError(
                 f"{self.name}: registers require word access", offset
             )
-        reg = self.layout.register_at(offset)
+        reg = self._register_table.get(offset)
         if reg is None:
             raise BusError(
                 f"{self.name}: no register at offset {offset:#x}", offset
@@ -84,7 +112,7 @@ class Peripheral:
             raise BusError(
                 f"{self.name}: registers require word access", offset
             )
-        reg = self.layout.register_at(offset)
+        reg = self._register_table.get(offset)
         if reg is None:
             raise BusError(
                 f"{self.name}: no register at offset {offset:#x}", offset
@@ -130,10 +158,11 @@ class Peripheral:
         self.values[name] = value & 0xFFFF_FFFF
 
     def field_value(self, register: str, field: str) -> int:
-        reg = self.layout.register_named(register)
-        return reg.field_named(field).extract(self.values[register])
+        pos, mask = self._field_table[register, field]
+        return (self.values[register] & mask) >> pos
 
     def set_field(self, register: str, field: str, value: int) -> None:
-        reg = self.layout.register_named(register)
-        fld = reg.field_named(field)
-        self.values[register] = fld.insert(self.values[register], value)
+        pos, mask = self._field_table[register, field]
+        self.values[register] = (self.values[register] & ~mask) | (
+            (value << pos) & mask
+        )

@@ -17,11 +17,14 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import pytest
+
 from repro import cli
 from repro.core.scheduler import ResultCache
 from repro.core.system_env import make_default_system
 from repro.core.workspace import write_system_environment
 from repro.platforms.base import RunResult, RunStatus
+from repro.platforms.cpu import TraceEntry
 
 
 def make_result(tag: str) -> RunResult:
@@ -225,3 +228,148 @@ def test_concurrent_multiprocess_stress(tmp_path):
     for path in tmp_path.glob("*.json"):
         body = json.loads(path.read_bytes())
         assert {"schema", "checksum", "payload"} <= set(body)
+
+
+# --------------------------------------------------------------------------
+# byte-level robustness of the reader
+# --------------------------------------------------------------------------
+
+def rich_result() -> RunResult:
+    """A verdict using every payload field, as ``get`` rehydrates it."""
+    return RunResult(
+        platform="golden",
+        derivative="sc88a",
+        status=RunStatus.PASS,
+        instructions=1234,
+        cycles=5678,
+        signature=0x600D_C0DE,
+        result_word=0x600D_C0DE,
+        uart_output="OK\n\"quoted\"\\",
+        done_pin=1,
+        pass_pin=1,
+        fault_reason=None,
+        trace=[
+            TraceEntry(0x200, 0x12, "LOAD", 2),
+            TraceEntry(0x208, 0x05, "HALT", 1),
+        ],
+        registers={"d0": 0x600D_C0DE, "a10": 0x1000_FF00},
+    )
+
+
+ENTRY_KEY = "a" * 64
+
+
+@pytest.fixture(scope="module")
+def entry_bytes(tmp_path_factory) -> bytes:
+    """One valid cache entry file, as :meth:`ResultCache.put` wrote it."""
+    directory = tmp_path_factory.mktemp("one-entry")
+    assert ResultCache(directory).put(ENTRY_KEY, rich_result())
+    return (directory / f"{ENTRY_KEY}.json").read_bytes()
+
+
+def _header_length(data: bytes) -> int:
+    """Bytes before the payload string's first character: the
+    envelope's schema, checksum and the ``"payload": "`` opener."""
+    return data.index(b'"payload": "') + len(b'"payload": "')
+
+
+def _read(directory: Path, data: bytes):
+    (directory / f"{ENTRY_KEY}.json").write_bytes(data)
+    cache = ResultCache(directory)
+    try:
+        result = cache.get(ENTRY_KEY)
+    finally:
+        quarantined = sorted(directory.glob("*.corrupt"))
+        for evidence in quarantined:
+            evidence.unlink()
+    return cache, result, quarantined
+
+
+def _assert_rejected(directory: Path, data: bytes) -> None:
+    cache, result, quarantined = _read(directory, data)
+    assert result is None
+    assert (cache.corrupt, cache.quarantined, cache.hits) == (1, 1, 0)
+    assert len(quarantined) == 1
+    assert not (directory / f"{ENTRY_KEY}.json").exists()
+
+
+def _assert_original_or_rejected(directory: Path, data: bytes) -> None:
+    cache, result, quarantined = _read(directory, data)
+    if result is None:
+        assert (cache.corrupt, cache.quarantined, cache.hits) == (1, 1, 0)
+        assert len(quarantined) == 1
+    else:
+        assert result == rich_result()
+        assert (cache.corrupt, cache.hits) == (0, 1)
+        assert not quarantined
+
+
+def _flip(position, bit: int = 0):
+    def damage(data: bytes, header: int) -> bytes:
+        out = bytearray(data)
+        out[position(len(data), header)] ^= 1 << bit
+        return bytes(out)
+
+    return damage
+
+
+def _truncate(where):
+    return lambda data, header: data[: where(len(data), header)]
+
+
+#: name -> damage(data, header length) over one valid entry file.
+DAMAGE = {
+    "truncate-empty": _truncate(lambda size, header: 0),
+    "truncate-1": _truncate(lambda size, header: 1),
+    "truncate-mid-header": _truncate(lambda size, header: header // 2),
+    "truncate-at-payload": _truncate(lambda size, header: header),
+    "truncate-mid-payload": _truncate(
+        lambda size, header: (header + size) // 2
+    ),
+    "truncate-last-byte": _truncate(lambda size, header: size - 1),
+    "flip-payload-first": _flip(lambda size, header: header),
+    "flip-payload-mid": _flip(lambda size, header: (header + size) // 2, 3),
+    "flip-payload-last-char": _flip(lambda size, header: size - 3, 1),
+    "flip-closing-brace": _flip(lambda size, header: size - 1, 7),
+    "zero-fill": lambda data, header: bytes(len(data)),
+    "zero-fill-payload": lambda data, header: (
+        data[:header] + bytes(len(data) - header)
+    ),
+}
+
+
+class TestByteRobustness:
+    def test_intact_entry_loads(self, tmp_path, entry_bytes):
+        cache, result, quarantined = _read(tmp_path, entry_bytes)
+        assert result == rich_result()
+        assert (cache.hits, cache.corrupt) == (1, 0) and not quarantined
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damage_is_counted_quarantined_never_trusted(
+        self, tmp_path, entry_bytes, damage
+    ):
+        header = _header_length(entry_bytes)
+        damaged = DAMAGE[damage](entry_bytes, header)
+        assert damaged != entry_bytes
+        _assert_rejected(tmp_path, damaged)
+
+    def test_every_header_bit_flip_is_corruption(self, tmp_path, entry_bytes):
+        for offset in range(_header_length(entry_bytes)):
+            for bit in range(8):
+                damaged = bytearray(entry_bytes)
+                damaged[offset] ^= 1 << bit
+                _assert_rejected(tmp_path, bytes(damaged))
+
+    def test_every_truncation_is_corruption(self, tmp_path, entry_bytes):
+        for length in range(len(entry_bytes)):
+            _assert_rejected(tmp_path, entry_bytes[:length])
+
+    def test_payload_bit_flips_never_return_a_different_result(
+        self, tmp_path, entry_bytes
+    ):
+        rng = random.Random(0)
+        header = _header_length(entry_bytes)
+        for offset in range(header, len(entry_bytes)):
+            damaged = bytearray(entry_bytes)
+            damaged[offset] ^= 1 << rng.randrange(8)
+            _assert_original_or_rejected(tmp_path, bytes(damaged))
